@@ -31,6 +31,7 @@ from .polys import (
     Polynomial,
     apolar_inner,
     apply_diff,
+    coefficient_rows,
     differential,
 )
 from .scalars import FLOAT, is_positive, to_float
@@ -83,22 +84,11 @@ def candidate_invariants(seeds: SeedSystem, delta: Polynomial) -> list:
         cands.append(g)
     for degree in set(seeds.degrees):
         block = [c for c in cands if c.homogeneous_degree() == degree]
-        if len(block) > 1 and not _linearly_independent(block):
+        if len(block) < 2:
+            continue
+        if linalg.rank(coefficient_rows(block), block[0].field) < len(block):
             raise RuntimeError(f"degree-{degree} candidates are linearly dependent")
     return cands
-
-
-def _linearly_independent(polys):
-    field = polys[0].field
-    support = sorted({e for p in polys for e, _ in p.sorted_terms()})
-    index = {e: i for i, e in enumerate(support)}
-    rows = []
-    for p in polys:
-        row = [field.zero] * len(support)
-        for e, c in p.sorted_terms():
-            row[index[e]] = c
-        rows.append(row)
-    return linalg.rank(rows, field) == len(polys)
 
 
 def orthogonalize_graded(candidates: list) -> list:

@@ -457,13 +457,6 @@ class ReflectionGroup:
                          (math.sin(2 * u), -math.cos(2 * u))), -1))
         return out
 
-    def elements(self):
-        return self.enumerate()
-
-    def random_elements(self, count, rng):
-        elems = self.enumerate()
-        return [elems[rng.randrange(len(elems))] for _ in range(count)]
-
 
 def group_action(matrix, f: Polynomial) -> Polynomial:
     """Act on a polynomial: (w . f)(x) = f(w^-1 x), with w orthogonal."""

@@ -13,7 +13,13 @@ from __future__ import annotations
 from .canonical import InvariantSystem, _entries_from_polys
 from . import linalg
 from .groups import ReflectionGroup, project_polynomial, reynolds
-from .polys import Polynomial, apolar_inner, apply_diff
+from .polys import (
+    Polynomial,
+    apolar_inner,
+    apply_diff,
+    coefficient_rows,
+    monomials_of_degree,
+)
 
 
 def hilbert_dimension(degrees, d: int) -> int:
@@ -29,17 +35,6 @@ def hilbert_dimension(degrees, d: int) -> int:
     return coeffs[d]
 
 
-def _monomials_of_degree(nv, degree):
-    def rec(pos, remaining):
-        if pos == nv - 1:
-            yield (remaining,)
-            return
-        for e in range(remaining + 1):
-            for rest in rec(pos + 1, remaining - e):
-                yield (e,) + rest
-    return rec(0, degree)
-
-
 def invariant_basis(group: ReflectionGroup, degree: int) -> list:
     """Echelonized basis of the invariant polynomials of one degree.
 
@@ -53,8 +48,7 @@ def invariant_basis(group: ReflectionGroup, degree: int) -> list:
     target = hilbert_dimension(rs.degrees, degree)
     if target == 0:
         return []
-    support = sorted(_monomials_of_degree(nv, degree))
-    index = {e: i for i, e in enumerate(support)}
+    support = sorted(monomials_of_degree(nv, degree))
     rows = []
     current_rank = 0
     for exp in support:
@@ -64,10 +58,7 @@ def invariant_basis(group: ReflectionGroup, degree: int) -> list:
         image = project_polynomial(reynolds(mono, group), rs)
         if image.is_zero():
             continue
-        row = [field.zero] * len(support)
-        for e, c in image.sorted_terms():
-            row[index[e]] = c
-        rows.append(row)
+        rows += coefficient_rows([image], support)
         new_rank = linalg.rank(rows, field)
         if new_rank == current_rank:
             rows.pop()
@@ -159,21 +150,8 @@ def spans_agree(polys_a, polys_b) -> dict:
             out[d] = False
             continue
         field = block_a[0].field
-        support = sorted(
-            {e for p in block_a + block_b for e, _ in p.sorted_terms()}
-        )
-        index = {e: i for i, e in enumerate(support)}
-
-        def rows_of(block):
-            rows = []
-            for p in block:
-                row = [field.zero] * len(support)
-                for e, c in p.sorted_terms():
-                    row[index[e]] = c
-                rows.append(row)
-            return rows
-
-        rows_a, rows_b = rows_of(block_a), rows_of(block_b)
+        rows = coefficient_rows(block_a + block_b)
+        rows_a, rows_b = rows[: len(block_a)], rows[len(block_a):]
         ra = linalg.rank(rows_a, field)
         rb = linalg.rank(rows_b, field)
         rab = linalg.rank(rows_a + rows_b, field)

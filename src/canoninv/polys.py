@@ -209,6 +209,16 @@ class Polynomial:
             out[tuple(new)] = v
         return Polynomial._raw(self.num_vars, self.field, out)
 
+    def evaluate(self, point):
+        """Value at ``point``, given as one integer or field scalar per variable."""
+        total = self.field.zero
+        for exp, c in self._terms.items():
+            for x, e in zip(point, exp):
+                if e:
+                    c = c * x**e
+            total = total + c
+        return total
+
     # -- conversion & display ----------------------------------------------
 
     def convert(self, field: Field):
@@ -216,9 +226,6 @@ class Polynomial:
         if field is self.field:
             return self
         return Polynomial(self.num_vars, field, self._terms)
-
-    def map_coefficients(self, fn):
-        return Polynomial(self.num_vars, self.field, {e: fn(c) for e, c in self._terms.items()})
 
     def to_json(self):
         return {
@@ -286,6 +293,32 @@ class Polynomial:
 
     def __repr__(self):
         return f"<Polynomial {self}>"
+
+
+def monomials_of_degree(num_vars, degree):
+    """All exponent tuples of the given total degree, in ascending lexicographic order."""
+    def rec(pos, remaining):
+        if pos == num_vars - 1:
+            yield (remaining,)
+            return
+        for e in range(remaining + 1):
+            for rest in rec(pos + 1, remaining - e):
+                yield (e,) + rest
+    return rec(0, degree)
+
+
+def coefficient_rows(polys, support=None):
+    """Coefficient matrix: one row per polynomial, one column per exponent.
+
+    ``support`` defaults to the sorted union of the polynomials' exponents.
+    """
+    if support is None:
+        support = sorted({e for p in polys for e in p._terms})
+    rows = []
+    for p in polys:
+        terms, zero = p._terms, p.field.zero
+        rows.append([terms.get(e, zero) for e in support])
+    return rows
 
 
 def apply_diff(f: Polynomial, g: Polynomial) -> Polynomial:

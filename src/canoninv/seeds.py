@@ -12,10 +12,13 @@ invariants; this module provides concrete defaults:
   deterministic retry ladder in case a candidate vanishes or breaks
   algebraic independence.
 
-Validity is certified by the Jacobian determinant: the system is
-algebraically independent iff the determinant is not the zero polynomial,
-and for a genuine system of basic invariants the determinant is a scalar
-multiple of the antiinvariant.
+Validity is certified by the Jacobian J: invariants are algebraically
+independent iff J is not the zero polynomial.  Invariants of the table
+degrees have an anti-invariant J of degree |Phi+| (squared off with the
+fixed directions, which every group element fixes), so J = c * Delta for a
+scalar c, Delta being the fundamental antiinvariant.  At a point x0 off
+every reflecting hyperplane Delta(x0) != 0, hence J(x0) = 0 exactly when
+c = 0: the exact rank of the gradients at x0 decides independence both ways.
 """
 
 from __future__ import annotations
@@ -26,13 +29,12 @@ from . import linalg
 from .groups import (
     ReflectionGroup,
     RootSystem,
-    antiinvariant,
     group_action,
     project_polynomial,
     reynolds,
     reynolds_linear_power,
 )
-from .polys import Polynomial, substitute_linear
+from .polys import Polynomial, coefficient_rows, monomials_of_degree, substitute_linear
 from .scalars import FLOAT
 
 
@@ -110,18 +112,6 @@ def _candidate_forms(nv):
         yield tuple(j + 1 if j <= t else 0 for j in range(nv))
 
 
-def _candidate_monomials(nv, degree):
-    """All exponent vectors of the given total degree, graded-lex order."""
-    def rec(pos, remaining):
-        if pos == nv - 1:
-            yield (remaining,)
-            return
-        for e in range(remaining + 1):
-            for rest in rec(pos + 1, remaining - e):
-                yield (e,) + rest
-    return rec(0, degree)
-
-
 def _reynolds_candidates(group: ReflectionGroup, degree: int):
     """Lazily yield candidate invariants of one degree, deterministically."""
     rs = group.root_system
@@ -132,24 +122,10 @@ def _reynolds_candidates(group: ReflectionGroup, degree: int):
         if all(field.is_zero(c) for c in vec):
             continue
         yield reynolds_linear_power(vec, degree, group)
-    for exp in _candidate_monomials(nv, degree):
+    for exp in monomials_of_degree(nv, degree):
         mono = Polynomial.monomial(exp, 1, field)
         # project after averaging: cheaper and equal, the projector commutes
         yield project_polynomial(reynolds(mono, group), rs)
-
-
-def _independent_within_degree(accepted, candidate, field):
-    """Exact linear independence of equal-degree invariants via coefficient rank."""
-    block = accepted + [candidate]
-    support = sorted({e for p in block for e, _ in p.sorted_terms()})
-    index = {e: i for i, e in enumerate(support)}
-    rows = []
-    for p in block:
-        row = [field.zero] * len(support)
-        for e, c in p.sorted_terms():
-            row[index[e]] = c
-        rows.append(row)
-    return linalg.rank(rows, field) == len(block)
 
 
 _MAX_CANDIDATES_PER_SLOT = 24
@@ -185,8 +161,7 @@ def _reynolds_seeds(group: ReflectionGroup) -> SeedSystem:
     def extend(chosen, i):
         if i == slots:
             system = SeedSystem(list(chosen), list(degrees), "reynolds")
-            ok, _witness, _prop = jacobian_certificate(system, group)
-            return system if ok else None
+            return system if jacobian_certificate(system, group) else None
         index = 0
         while True:
             cand = candidate(degrees[i], index)
@@ -195,8 +170,8 @@ def _reynolds_seeds(group: ReflectionGroup) -> SeedSystem:
                 return None
             if cand.is_zero() or cand.homogeneous_degree() != degrees[i]:
                 continue
-            same_degree = [p for p, d in zip(chosen, degrees) if d == degrees[i]]
-            if not _independent_within_degree(same_degree, cand, rs.field):
+            block = [p for p, d in zip(chosen, degrees) if d == degrees[i]] + [cand]
+            if linalg.rank(coefficient_rows(block), rs.field) < len(block):
                 continue
             found = extend(chosen + [cand], i + 1)
             if found is not None:
@@ -226,16 +201,15 @@ def seed_invariants(group: ReflectionGroup, strategy: str = "auto") -> SeedSyste
         if not has_closed_form:
             raise ValueError(f"no closed-form seeds for {rs.describe()}; use reynolds")
         system = _power_sum_seeds(group)
-    elif strategy == "reynolds":
-        system = _reynolds_seeds(group)
-    else:
-        raise ValueError(f"unknown seed strategy {strategy!r}")
-    if rs.field is not FLOAT:
-        ok, witness, _prop = jacobian_certificate(system, group)
-        if not ok:
+        if rs.field is not FLOAT and not jacobian_certificate(system, group):
             raise RuntimeError(
                 f"seed system for {rs.describe()} failed the independence certificate"
             )
+    elif strategy == "reynolds":
+        # certified inside the search
+        system = _reynolds_seeds(group)
+    else:
+        raise ValueError(f"unknown seed strategy {strategy!r}")
     if list(system.degrees) != list(rs.degrees):
         raise RuntimeError(
             f"seed degrees {system.degrees} do not match the classical table {rs.degrees}"
@@ -264,72 +238,37 @@ def validate_user_seeds(polys, group: ReflectionGroup) -> SeedSystem:
         for p in system.polynomials:
             if group_action(gen, p) != p:
                 raise ValueError("user seed is not invariant under the group")
-    ok, _witness, _prop = jacobian_certificate(system, group)
-    if not ok:
+    if not jacobian_certificate(system, group):
         raise ValueError("user seeds are algebraically dependent (zero Jacobian)")
     return system
 
 
-def _poly_det(rows):
-    """Determinant of a square matrix of polynomials by memoized minor expansion."""
-    n = len(rows)
-    field = rows[0][0].field
-    nv = rows[0][0].num_vars
-    memo = {}
+def _generic_point(rs: RootSystem):
+    """x0 = (1, k, k^2, ...) for the first k >= 2 off every reflecting hyperplane.
 
-    def minor(i, colmask):
-        if i == n:
-            return Polynomial.constant(1, nv, field)
-        key = colmask
-        got = memo.get((i, key))
-        if got is not None:
-            return got
-        total = Polynomial.zero(nv, field)
-        sign = 1
-        for j in range(n):
-            bit = 1 << j
-            if colmask & bit:
-                continue
-            entry = rows[i][j]
-            if not entry.is_zero():
-                sub = minor(i + 1, colmask | bit)
-                contrib = entry * sub
-                total = total + (contrib if sign > 0 else -contrib)
-            sign = -sign
-        memo[(i, key)] = total
-        return total
-
-    return minor(0, 0)
+    The search ends: the product of the alpha . x0 over the positive roots is
+    a nonzero polynomial in k.
+    """
+    k = 2
+    while True:
+        point = tuple(k**i for i in range(rs.num_vars))
+        if not any(rs.field.is_zero(linalg.dot(root, point)) for root in rs.positive_roots):
+            return point
+        k += 1
 
 
-def _proportional(f: Polynomial, g: Polynomial) -> bool:
-    """Whether f = c*g for some nonzero scalar c (both nonzero)."""
-    if f.is_zero() or g.is_zero():
-        return False
-    fterms, gterms = f.sorted_terms(), g.sorted_terms()
-    if [e for e, _ in fterms] != [e for e, _ in gterms]:
-        return False
-    lead_f, lead_g = fterms[0][1], gterms[0][1]
-    return all(cf * lead_g == cg * lead_f for (_, cf), (_, cg) in zip(fterms, gterms))
+def jacobian_certificate(system: SeedSystem, group: ReflectionGroup) -> bool:
+    """Whether the seeds are algebraically independent.
 
-
-def jacobian_certificate(system: SeedSystem, group: ReflectionGroup):
-    """(is_independent, witness, witness_is_multiple_of_antiinvariant).
-
-    The witness is the Jacobian determinant of the seeds; for groups realized
-    in a larger ambient space the matrix is squared off with the constant
-    gradients of the fixed directions, which contribute only a scalar factor.
+    Exact rank of the seeds' gradients at a point off every reflecting
+    hyperplane (see the module docstring); for groups realized in a larger
+    ambient space the matrix is squared off with the fixed directions.
     """
     rs = group.root_system
-    field, nv = rs.field, rs.num_vars
-    rows = [[p.partial(j) for j in range(nv)] for p in system.polynomials]
-    for u in rs.complement_basis:
-        rows.append([Polynomial.constant(c, nv, field) for c in u])
+    nv = rs.num_vars
+    point = _generic_point(rs)
+    rows = [[p.partial(j).evaluate(point) for j in range(nv)] for p in system.polynomials]
+    rows += rs.complement_basis
     if len(rows) != nv:
         raise ValueError("seed count plus fixed directions must equal the variable count")
-    witness = _poly_det(rows)
-    if witness.is_zero():
-        return False, witness, None
-    if rs.field is FLOAT:
-        return True, witness, None
-    return True, witness, _proportional(witness, antiinvariant(rs))
+    return linalg.rank(rows, rs.field) == nv

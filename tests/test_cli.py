@@ -128,19 +128,23 @@ def test_seed_file_selector(tmp_path, capsys):
 
 
 def test_seed_file_invalid_rejected(tmp_path, capsys):
+    from canoninv.groups import ReflectionGroup, build_root_system
     from canoninv.polys import Polynomial
     from canoninv.scalars import QQ
+    from canoninv.seeds import seed_invariants
 
     x, y = (Polynomial.variable(i, 2, QQ) for i in range(2))
     q = x**2 + y**2
-    seeds = {"seeds": [q.to_json(), (q * q).to_json()]}
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(seeds))
-    code, _, err = run_cli(
-        capsys, "build", "--type", "B", "--rank", "2", "--seed", f"file:{path}"
-    )
-    assert code != 0
-    assert "dependent" in err
+    # A3 with p4 replaced by p2^2
+    p2, p3, _p4 = seed_invariants(ReflectionGroup(build_root_system("A", 3))).polynomials
+    for type_label, rank, polys in [("B", "2", [q, q * q]), ("A", "3", [p2, p3, p2 * p2])]:
+        path = tmp_path / f"bad-{type_label}.json"
+        path.write_text(json.dumps({"seeds": [p.to_json() for p in polys]}))
+        code, _, err = run_cli(
+            capsys, "build", "--type", type_label, "--rank", rank, "--seed", f"file:{path}"
+        )
+        assert code != 0
+        assert "dependent" in err
 
 
 def test_missing_rank_reports_cleanly(capsys):
