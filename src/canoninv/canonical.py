@@ -9,11 +9,12 @@ construction here starts from any valid seed system h_1, ..., h_n:
    ``sum_j x_j * transfer(d_j h_i)``,
 2. orthogonalize candidates of equal degree under the apolar pairing.
 
-For groups whose invariant degrees are all distinct, step 2 is a no-op and
-the candidates themselves form the system.  Type D_n with even n has one
-repeated degree; there the monomial x_1*...*x_n is itself a member of the
-canonical span, and a single cross-pairing combination of the two seeds
-replaces the orthogonalization.
+For groups whose invariant degrees are all distinct, step 2 is a no-op.
+Type D_n with even n has one repeated degree, and the monomial x_1*...*x_n
+is itself a member of the canonical span.  The refined mode places it
+directly: it mixes the two degree-n seeds into the one combination whose
+candidate pairs to zero with the monomial, and sends the reduced seeds
+through the same two steps, saving one transfer of a seed.
 
 Exact outputs carry the pair (f_i, c_i) with c_i = <f_i, f_i>; the unit
 normalization divides by sqrt(c_i) and therefore exists only in the float
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .groups import ReflectionGroup, antiinvariant, group_action
+from .groups import ReflectionGroup, RootSystem, antiinvariant, group_action
 from .polys import (
     OneForm,
     Polynomial,
@@ -206,84 +207,58 @@ def _entries_from_polys(polys):
     return out
 
 
-def _even_d_special_system(group: ReflectionGroup, seeds: SeedSystem,
-                           delta: Polynomial) -> list:
-    """Type D with even rank: place the monomial x_1*...*x_n directly.
+def _even_d_seeds(rs: RootSystem, seeds: SeedSystem) -> tuple:
+    """Type D with even rank n: mix the two degree-n seeds h, h' into one.
 
-    The two seeds of degree n are mixed into the single combination
-    b*h - a*h' with a, b their apolar pairings against the monomial; its
-    candidate is automatically orthogonal to the monomial.
+    With a, b the apolar pairings of h, h' against the monomial x_1*...*x_n,
+    the candidate of b*h - a*h' is orthogonal to the monomial, because the
+    transfer is self-adjoint and has d(x_1*...*x_n) as an eigenvector.
+    Returns the reduced seed system and the monomial.
     """
-    rs = group.root_system
-    n = rs.rank
-    ell = n // 2
-    field = rs.field
-    monomial = Polynomial(rs.num_vars, field, {(1,) * rs.num_vars: 1})
-    polys = []
-    repeated = [i for i, d in enumerate(seeds.degrees) if d == n]
+    monomial = Polynomial(rs.num_vars, rs.field, {(1,) * rs.num_vars: 1})
+    repeated = [i for i, d in enumerate(seeds.degrees) if d == rs.rank]
     if len(repeated) != 2:
         raise RuntimeError("expected exactly two seeds of the repeated degree")
     i_low, i_high = repeated
-    a = apolar_inner(monomial, seeds.polynomials[i_low])
-    b = apolar_inner(monomial, seeds.polynomials[i_high])
-    if field.is_zero(a) and field.is_zero(b):
+    h, h_prime = seeds.polynomials[i_low], seeds.polynomials[i_high]
+    a = apolar_inner(monomial, h)
+    b = apolar_inner(monomial, h_prime)
+    if rs.field.is_zero(a) and rs.field.is_zero(b):
         raise RuntimeError(
             "both repeated-degree seeds pair to zero against the monomial; "
             "the seed system cannot be a valid basis"
         )
-    combo = seeds.polynomials[i_low].scale(b) - seeds.polynomials[i_high].scale(a)
-    for i, h in enumerate(seeds.polynomials):
-        if i == i_low:
-            g = euler_contract(transfer_form(differential(combo), delta))
-            if g.is_zero():
-                raise RuntimeError("the mixed repeated-degree candidate collapsed to zero")
-            polys.append(g)
-        elif i == i_high:
-            polys.append(monomial)
-        else:
-            g = euler_contract(transfer_form(differential(h), delta))
-            if g.is_zero():
-                raise RuntimeError("a candidate collapsed to zero")
-            polys.append(g)
-    return polys
+    polys = list(seeds.polynomials)
+    polys[i_low] = h.scale(b) - h_prime.scale(a)
+    del polys[i_high]
+    degrees = seeds.degrees[:i_high] + seeds.degrees[i_high + 1:]
+    return SeedSystem(polys, degrees, seeds.provenance), monomial
 
 
 def canonical_system(group: ReflectionGroup, seeds: SeedSystem | None = None,
                      mode: str = "generic", delta: Polynomial | None = None) -> InvariantSystem:
     """Build a canonical system for the group.
 
-    ``mode`` selects the construction path:
-
-    * ``generic``: candidates followed by graded Gram-Schmidt (always valid),
-    * ``refined``: skip the orthogonalization when the degrees are distinct;
-      for D_n with even n, insert the monomial x_1*...*x_n directly.
-
-    Both paths produce systems with identical per-degree spans.
+    Both modes run the same pipeline: candidates, then graded Gram-Schmidt.
+    ``refined`` differs only for D_n with even n, where it places the
+    monomial x_1*...*x_n directly next to the candidate of one mixed seed
+    (see ``_even_d_seeds``); elsewhere it equals ``generic``.  The per-degree
+    spans of the two modes agree; with default seeds so do the entries.
     """
+    if mode not in ("generic", "refined"):
+        raise ValueError(f"unknown mode {mode!r}")
     rs = group.root_system
     if seeds is None:
         seeds = seed_invariants(group)
     if delta is None:
         delta = antiinvariant(rs)
-    degrees = list(seeds.degrees)
-    if mode == "generic":
-        polys = orthogonalize_graded(candidate_invariants(seeds, delta))
-        provenance = "generic"
-    elif mode == "refined":
-        if len(set(degrees)) == len(degrees):
-            polys = candidate_invariants(seeds, delta)
-            provenance = "refined-distinct-degrees"
-        elif rs.type_label == "D" and rs.rank % 2 == 0:
-            polys = _even_d_special_system(group, seeds, delta)
-            provenance = "refined-even-d"
-        else:
-            raise ValueError(
-                f"no refined path for {rs.describe()}: repeated degrees outside type D"
-            )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    system = InvariantSystem(_entries_from_polys(polys), rs.to_json(), provenance)
-    return system
+    monomial = None
+    if mode == "refined" and rs.type_label == "D" and rs.rank % 2 == 0:
+        seeds, monomial = _even_d_seeds(rs, seeds)
+    polys = candidate_invariants(seeds, delta)
+    if monomial is not None:
+        polys.insert(seeds.degrees.index(rs.rank) + 1, monomial)
+    return InvariantSystem.from_polynomials(orthogonalize_graded(polys), rs.to_json(), mode)
 
 
 @dataclass

@@ -144,7 +144,7 @@ def cmd_delta(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     group = _build_group(args)
-    constructed = canonical_system(group, mode=args.mode)
+    constructed = canonical_system(group)
     report_c = verify_canonical(constructed, group)
     oracle = pde_solve(group)
     report_o = verify_canonical(oracle, group)
@@ -176,7 +176,7 @@ def cmd_bench(args) -> int:
     timings["transfer_seconds"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    system = canonical_system(group, seeds=seeds, mode=args.mode)
+    system = canonical_system(group, seeds=seeds, delta=delta)
     timings["build_seconds"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -214,12 +214,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-compare", help="compare construction against the PDE oracle")
     _add_group_flags(p)
-    p.add_argument("--mode", default="generic", choices=["generic", "refined"])
     p.set_defaults(func=cmd_oracle_compare)
 
     p = sub.add_parser("bench", help="time antiinvariant, transfer, build, verify")
     _add_group_flags(p)
-    p.add_argument("--mode", default="generic", choices=["generic", "refined"])
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -5,17 +5,17 @@ invariant polynomials by Reynolds-averaging monomials, then solves the
 defining partial differential equations degree by degree with exact linear
 algebra.  Agreement of its per-degree spans with the construction path is
 the strongest cross-check the package offers, precisely because the two
-routes share only the polynomial and group layers.
+routes share only the polynomial and group layers and the final
+Gram-Schmidt step (``orthogonalize_graded``).
 """
 
 from __future__ import annotations
 
-from .canonical import InvariantSystem, _entries_from_polys
+from .canonical import InvariantSystem, orthogonalize_graded
 from . import linalg
 from .groups import ReflectionGroup, project_polynomial, reynolds
 from .polys import (
     Polynomial,
-    apolar_inner,
     apply_diff,
     coefficient_rows,
     monomials_of_degree,
@@ -119,18 +119,8 @@ def pde_solve(group: ReflectionGroup) -> InvariantSystem:
             for c, b in zip(coords, basis):
                 f = f + b.scale(c)
             block.append(f)
-        # Orthogonalize inside the equal-degree block.
-        ortho = []
-        for f in block:
-            g = f
-            for prev in ortho:
-                g = g - prev.scale(apolar_inner(prev, g) / apolar_inner(prev, prev))
-            if g.is_zero():
-                raise RuntimeError("dependent solutions inside an equal-degree block")
-            ortho.append(g)
-        accepted.extend(ortho)
-    accepted.sort(key=lambda p: p.homogeneous_degree())
-    return InvariantSystem(_entries_from_polys(accepted), rs.to_json(), "oracle")
+        accepted.extend(orthogonalize_graded(block))
+    return InvariantSystem.from_polynomials(accepted, rs.to_json(), "oracle")
 
 
 def spans_agree(polys_a, polys_b) -> dict:

@@ -90,12 +90,6 @@ class Polynomial:
     def constant_term(self):
         return self._terms.get((0,) * self.num_vars, self.field.zero)
 
-    def degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
-
     def homogeneous_degree(self):
         """The common degree of all terms, or None if inhomogeneous/zero."""
         degs = {sum(e) for e in self._terms}
@@ -271,25 +265,22 @@ class Polynomial:
             cs = f"({cs})"
         return f"{cs}{var_part}" if latex else f"{cs}*{var_part}"
 
-    def __str__(self):
+    def _render(self, latex):
+        """Terms in descending graded-lex order, as plain text or LaTeX."""
         if not self._terms:
             return "0"
         terms = sorted(self._terms.items(), key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
-        out = self._term_str(*terms[0])
+        out = self._term_str(*terms[0], latex=latex)
         for exp, c in terms[1:]:
-            s = self._term_str(exp, c)
+            s = self._term_str(exp, c, latex=latex)
             out += " - " + s[1:] if s.startswith("-") else " + " + s
         return out
 
+    def __str__(self):
+        return self._render(latex=False)
+
     def latex(self):
-        if not self._terms:
-            return "0"
-        terms = sorted(self._terms.items(), key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
-        out = self._term_str(*terms[0], latex=True)
-        for exp, c in terms[1:]:
-            s = self._term_str(exp, c, latex=True)
-            out += " - " + s[1:] if s.startswith("-") else " + " + s
-        return out
+        return self._render(latex=True)
 
     def __repr__(self):
         return f"<Polynomial {self}>"

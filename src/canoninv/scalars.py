@@ -105,9 +105,6 @@ class QuadExt:
             n >>= 1
         return out
 
-    def conjugate(self):
-        return QuadExt(self.a, -self.b)
-
     def sign(self):
         """Exact sign of the real embedding (with sqrt 5 > 0)."""
         a, b = self.a, self.b
@@ -178,8 +175,6 @@ class QuadExt:
 
 def to_float(x):
     """Nearest double of a scalar from any backend."""
-    if isinstance(x, QuadExt):
-        return float(x)
     return float(x)
 
 
@@ -200,7 +195,6 @@ class Field:
     """A coefficient backend: coercion, parsing and formatting of scalars."""
 
     name = "?"
-    exact = True
 
     def coerce(self, v):
         raise NotImplementedError
@@ -228,7 +222,6 @@ class Field:
 
 class RationalField(Field):
     name = "Q"
-    exact = True
 
     def coerce(self, v):
         if type(v) is Fraction:
@@ -250,7 +243,6 @@ class RationalField(Field):
 
 class SqrtFiveField(Field):
     name = "Q(sqrt5)"
-    exact = True
 
     def coerce(self, v):
         if isinstance(v, QuadExt):
@@ -276,11 +268,8 @@ class SqrtFiveField(Field):
 
 class FloatField(Field):
     name = "float"
-    exact = False
 
     def coerce(self, v):
-        if isinstance(v, QuadExt):
-            return float(v)
         return float(v)
 
     def is_zero(self, v):

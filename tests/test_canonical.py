@@ -25,7 +25,7 @@ from canoninv.polys import (
     oneform_inner,
 )
 from canoninv.scalars import QQ, is_positive, to_float
-from canoninv.seeds import SeedSystem, seed_invariants
+from canoninv.seeds import SeedSystem, seed_invariants, validate_user_seeds
 
 from conftest import get_group, random_polynomial
 
@@ -188,6 +188,8 @@ def test_canonical_d4_refined_vs_generic():
     assert verify_canonical(refined, group).passed
     agreement = spans_agree(generic.polynomials(), refined.polynomials())
     assert all(agreement.values())
+    # On default seeds the two modes agree entry for entry, not just in span.
+    assert refined.to_json()["entries"] == generic.to_json()["entries"]
 
 
 def test_refined_mode_with_fresh_seed_object():
@@ -196,6 +198,22 @@ def test_refined_mode_with_fresh_seed_object():
     rebuilt = SeedSystem(list(seeds.polynomials), list(seeds.degrees), "power-sum")
     system = canonical_system(group, seeds=rebuilt, mode="refined")
     assert verify_canonical(system, group).passed
+
+
+def test_refined_d4_mixes_user_seeds():
+    # Both degree-4 seeds pair to 1 against x1*x2*x3*x4, so the refined mode
+    # really mixes them (default seeds have a = 0).
+    group = get_group("D", 4)
+    x = [Polynomial.variable(i, 4, QQ) for i in range(4)]
+    p2, p4, p6 = (sum((v**k for v in x[1:]), x[0]**k) for k in (2, 4, 6))
+    e4 = x[0] * x[1] * x[2] * x[3]
+    seeds = validate_user_seeds([p2, p4 + e4, e4 + p2**2, p6], group)
+    generic = canonical_system(group, seeds=seeds, mode="generic")
+    refined = canonical_system(group, seeds=seeds, mode="refined")
+    assert verify_canonical(refined, group).passed
+    assert any(e.polynomial == e4 for e in refined.entries)
+    assert all(spans_agree(generic.polynomials(), refined.polynomials()).values())
+    assert refined.to_json()["entries"] != generic.to_json()["entries"]
 
 
 def test_unknown_mode_rejected():
