@@ -169,12 +169,16 @@ class InvariantSystem:
 
     @classmethod
     def from_json(cls, data):
-        entries = []
-        for e in data["entries"]:
-            poly = Polynomial.from_json(e["poly"])
-            norm = poly.field.parse(e["norm"])
-            entries.append(InvariantEntry(poly, e["degree"], norm))
-        system = cls(entries, data["group"], data["provenance"])
+        try:
+            entries = []
+            for e in data["entries"]:
+                poly = Polynomial.from_json(e["poly"])
+                entries.append(InvariantEntry(poly, e["degree"], poly.field.parse(e["norm"])))
+            system = cls(entries, data["group"], data["provenance"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed system: {type(exc).__name__} {exc}") from None
+        if not entries:
+            raise ValueError("system has no entries")
         system.verified = bool(data.get("verified", False))
         return system
 
@@ -280,6 +284,8 @@ class VerificationReport:
     degree_ok: bool
     norms: list
     tolerance: float | None
+    degree_label_failures: list  # "f_i: ..." lines naming the entry
+    stored_norm_failures: list
 
     def summary(self):
         if self.passed:
@@ -293,7 +299,7 @@ class VerificationReport:
             issues.append(f"f_{i + 1} is not invariant under generator {g + 1}")
         if not self.degree_ok:
             issues.append("degrees do not match the classical table")
-        return "; ".join(issues)
+        return "; ".join(issues + self.degree_label_failures + self.stored_norm_failures)
 
     def to_json(self, field):
         return {
@@ -307,6 +313,8 @@ class VerificationReport:
             "degree_ok": self.degree_ok,
             "norms": [field.format(n) for n in self.norms],
             "tolerance": self.tolerance,
+            "degree_label_failures": self.degree_label_failures,
+            "stored_norm_failures": self.stored_norm_failures,
         }
 
 
@@ -326,20 +334,23 @@ def verify_canonical(system: InvariantSystem, group: ReflectionGroup,
     For exact fields the cross-pairings must vanish identically (including
     i < j, where the pairing is a positive-degree polynomial).  For the float
     backend the system is unit-normalized first and coefficients are compared
-    against a tolerance.
+    against a tolerance.  Each entry's degree label must be its degree, and its
+    stored norm must be <f_i, f_i> (exactly, or to the relative tolerance).
     """
     rs = group.root_system
     exact = rs.field is not FLOAT
     if not exact and tolerance is None:
         tolerance = FLOAT_VERIFY_TOLERANCE
 
-    if exact:
-        polys = system.polynomials()
-    else:
-        polys = system.float_normalized()
-
+    originals = system.polynomials()
+    polys = originals if exact else system.float_normalized()
+    degree_label_failures = [
+        f"f_{i + 1}: degree label {e.degree} != degree {e.polynomial.homogeneous_degree()}"
+        for i, e in enumerate(system.entries) if e.polynomial.homogeneous_degree() != e.degree
+    ]
     pair_failures = []
     norm_failures = []
+    stored_norm_failures = []
     norms = []
     n = len(polys)
     for i in range(n):
@@ -348,6 +359,11 @@ def verify_canonical(system: InvariantSystem, group: ReflectionGroup,
             if i == j:
                 c = pairing.constant_term()
                 norms.append(c)
+                actual = c if exact else apolar_inner(originals[i], originals[i])
+                stored, fmt = system.entries[i].norm, originals[i].field.format
+                if (stored != actual) if exact else abs(stored - actual) > tolerance * abs(actual):
+                    stored_norm_failures.append(f"f_{i + 1}: stored norm {fmt(stored)} != "
+                                                f"<f_{i + 1}, f_{i + 1}> = {fmt(actual)}")
                 residual = pairing - Polynomial.constant(c, pairing.num_vars, pairing.field)
                 if exact:
                     ok = residual.is_zero() and is_positive(c)
@@ -366,7 +382,6 @@ def verify_canonical(system: InvariantSystem, group: ReflectionGroup,
                     pair_failures.append(PairFailure(i, j, pairing))
 
     invariance_failures = []
-    originals = system.polynomials()
     for i, p in enumerate(originals):
         for gi, gen in enumerate(group.generators):
             moved = group_action(gen, p)
@@ -380,9 +395,8 @@ def verify_canonical(system: InvariantSystem, group: ReflectionGroup,
                 invariance_failures.append((i, gi))
 
     degree_ok = system.degrees == list(rs.degrees)
-    passed = (
-        not pair_failures and not norm_failures and not invariance_failures and degree_ok
-    )
+    passed = degree_ok and not (pair_failures or norm_failures or invariance_failures
+                                or degree_label_failures or stored_norm_failures)
     system.verified = bool(passed)
     return VerificationReport(
         passed=passed,
@@ -392,6 +406,8 @@ def verify_canonical(system: InvariantSystem, group: ReflectionGroup,
         degree_ok=degree_ok,
         norms=norms,
         tolerance=tolerance,
+        degree_label_failures=degree_label_failures,
+        stored_norm_failures=stored_norm_failures,
     )
 
 

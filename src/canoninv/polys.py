@@ -10,6 +10,11 @@ everything else is built on:
   a positive-definite symmetric pairing on real polynomials; on monomials
   ``<x^a, x^a>`` equals the product of the factorials of the exponents.
 
+On Q and Q(sqrt5), ``apply_diff`` is one integer kernel: packed exponents
+with guard bits, numerators over a common denominator, and divided powers
+(see its docstring).  Floats keep a direct loop, whose rounding and
+summation order the float outputs depend on.
+
 Group actions enter through ``substitute_linear``; differentials of
 polynomials are :class:`OneForm` values with one coefficient polynomial per
 ``dx_j``.
@@ -17,7 +22,10 @@ polynomials are :class:`OneForm` values with one coefficient polynomial per
 
 from __future__ import annotations
 
-from .scalars import Field, QuadExt, field_by_name
+from fractions import Fraction
+from math import factorial, lcm, prod
+
+from .scalars import FLOAT, QSQRT5, Field, QuadExt, field_by_name
 
 
 def _check_compatible(f: "Polynomial", g: "Polynomial"):
@@ -233,14 +241,17 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data):
-        field = field_by_name(data["field"])
-        nv = data["vars"]
-        terms = {}
-        for t in data["terms"]:
-            exp = tuple(t["exp"])
-            if len(exp) != nv:
-                raise ValueError("exponent length does not match variable count")
-            terms[exp] = field.parse(t["coef"])
+        try:
+            field = field_by_name(data["field"])
+            nv = data["vars"]
+            terms = {}
+            for t in data["terms"]:
+                exp = tuple(t["exp"])
+                if len(exp) != nv:
+                    raise ValueError("exponent length does not match variable count")
+                terms[exp] = field.parse(t["coef"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed polynomial: {type(exc).__name__} {exc}") from None
         return cls(nv, field, terms)
 
     def _term_str(self, exp, coef, latex=False):
@@ -312,37 +323,96 @@ def coefficient_rows(polys, support=None):
     return rows
 
 
+def _packed(terms, comps, shifts, bias, facts):
+    """Common denominator and, per coefficient component, [(packed key | bias, numerator * b!)]."""
+    den = lcm(*(q.denominator for c in terms.values() for q in comps(c)))
+    parts = ([], [])
+    for exp, c in terms.items():
+        key = sum(e << s for e, s in zip(exp, shifts)) | bias
+        scale = prod(facts[e] for e in exp) if facts else 1
+        for part, q in zip(parts, comps(c)):
+            if q:
+                part.append((key, q.numerator * (den // q.denominator) * scale))
+    return den, parts
+
+
+def _pair_sums(acc, fpart, gpart, guard, k=1):
+    """``acc[b - a] += k * ca * cb`` over the pairs with b >= a (see ``apply_diff``)."""
+    get = acc.get
+    for ka, ca in fpart:
+        ca *= k
+        for kb, cb in gpart:
+            d = kb - ka
+            if d & guard == guard:
+                d ^= guard
+                acc[d] = get(d, 0) + ca * cb
+
+
 def apply_diff(f: Polynomial, g: Polynomial) -> Polynomial:
     """Apply ``f`` as a constant-coefficient differential operator to ``g``.
 
-    Each term ``c * x^a`` of ``f`` becomes ``c * d^a`` acting on ``g``.  Terms
-    of ``g`` that lack any of the required exponents are skipped early, which
-    matters when ``g`` is a large antiinvariant product.
+    ``c x^a`` acts as ``c d^a``, and ``d^a x^b = b!/(b-a)! x^(b-a)`` if b >= a,
+    else 0.  Exact fields run one integer kernel.  Exponents are packed w bits
+    per variable, w = top.bit_length() + 1 for the largest exponent ``top``,
+    with the top (guard) bit of every field of g's keys set.  Every exponent
+    is below 2^(w-1), so each field of ``d = kb - ka`` is b_i - a_i + 2^(w-1)
+    in [1, 2^w): no borrow crosses a field, all guard bits survive exactly
+    when b >= a, and then ``d ^ guard`` is the packed b - a.  Each side is put
+    over one common denominator and g's numerators are stored times b!
+    (divided powers): a pair costs one integer product, and (b-a)! and the
+    denominators are divided out once per output term.  Q(sqrt5) splits into
+    rational and sqrt5 parts; sqrt5 * sqrt5 enters the rational part times 5.
     """
     _check_compatible(f, g)
-    out = {}
-    fz = f.field.is_zero
-    gterms = g._terms
-    for ea, ca in f._terms.items():
-        for eb, cb in gterms.items():
-            coef = 1
-            for a, b in zip(ea, eb):
-                if a > b:
-                    coef = 0
-                    break
-                for t in range(b, b - a, -1):  # falling factorial b!/(b-a)!
-                    coef *= t
-            if coef == 0:
-                continue
-            key = tuple(b - a for a, b in zip(ea, eb))
-            v = ca * cb * coef
-            s = out.get(key)
-            s = v if s is None else s + v
-            if fz(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return Polynomial._raw(f.num_vars, f.field, out)
+    field = f.field
+    if field is FLOAT:
+        # Floats keep the direct loop: float outputs depend on its rounding
+        # and summation order.  This branch goes with the float backend.
+        out = {}
+        fz = field.is_zero
+        gterms = g._terms
+        for ea, ca in f._terms.items():
+            for eb, cb in gterms.items():
+                coef = 1
+                for a, b in zip(ea, eb):
+                    if a > b:
+                        coef = 0
+                        break
+                    for t in range(b, b - a, -1):  # falling factorial b!/(b-a)!
+                        coef *= t
+                if coef == 0:
+                    continue
+                key = tuple(b - a for a, b in zip(ea, eb))
+                v = ca * cb * coef
+                s = out.get(key)
+                s = v if s is None else s + v
+                if fz(s):
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+        return Polynomial._raw(f.num_vars, field, out)
+    top = max((max(e, default=0) for e in (*f._terms, *g._terms)), default=0)
+    w = top.bit_length() + 1
+    shifts = range(0, w * f.num_vars, w)
+    guard = sum(1 << (s + w - 1) for s in shifts)
+    facts = [factorial(e) for e in range(top + 1)]
+    quad = field is QSQRT5
+    comps = (lambda c: (c.a, c.b)) if quad else (lambda c: (c,))
+    den_f, (fa, fb) = _packed(f._terms, comps, shifts, 0, None)
+    den_g, (ga, gb) = _packed(g._terms, comps, shifts, guard, facts)
+    rat, irr = {}, {}
+    _pair_sums(rat, fa, ga, guard)
+    _pair_sums(rat, fb, gb, guard, 5)
+    _pair_sums(irr, fa, gb, guard)
+    _pair_sums(irr, fb, ga, guard)
+    den, mask, out = den_f * den_g, (1 << w) - 1, {}
+    for d in rat | irr:
+        a, b = rat.get(d, 0), irr.get(d, 0)
+        if a or b:
+            exp = tuple((d >> s) & mask for s in shifts)
+            q = den * prod(facts[e] for e in exp)
+            out[exp] = QuadExt(Fraction(a, q), Fraction(b, q)) if quad else Fraction(a, q)
+    return Polynomial._raw(f.num_vars, field, out)
 
 
 def apolar_inner(f: Polynomial, g: Polynomial):
@@ -354,11 +424,7 @@ def apolar_inner(f: Polynomial, g: Polynomial):
         cb = large.get(exp)
         if cb is None:
             continue
-        coef = 1
-        for e in exp:
-            for t in range(2, e + 1):
-                coef *= t
-        total = total + ca * cb * coef
+        total = total + ca * cb * prod(map(factorial, exp))
     return total
 
 
@@ -373,12 +439,7 @@ def substitute_linear(f: Polynomial, matrix) -> Polynomial:
     if len(matrix) != nv or any(len(row) != nv for row in matrix):
         raise ValueError("substitution matrix shape does not match variable count")
     field = f.field
-    rows = []
-    for row in matrix:
-        rows.append(
-            Polynomial(nv, field, {tuple(1 if k == j else 0 for k in range(nv)): c
-                                   for j, c in enumerate(row)})
-        )
+    rows = [linear_form(row, field) for row in matrix]
     power_cache = {}
 
     def row_power(i, e):

@@ -211,7 +211,11 @@ class Field:
         return not v
 
     def parse(self, s):
-        raise NotImplementedError
+        """Scalar from its text form; a malformed one raises ValueError naming it."""
+        try:
+            return self._parse(s)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise ValueError(f"bad coefficient {s!r}: {exc}") from None
 
     def format(self, v):
         raise NotImplementedError
@@ -234,7 +238,7 @@ class RationalField(Field):
             raise TypeError("cannot coerce a float into Q; use an explicit Fraction")
         return Fraction(v)
 
-    def parse(self, s):
+    def _parse(self, s):
         return Fraction(s)
 
     def format(self, v):
@@ -251,7 +255,7 @@ class SqrtFiveField(Field):
             raise TypeError("cannot coerce a float into Q(sqrt5)")
         return QuadExt(v, 0)
 
-    def parse(self, s):
+    def _parse(self, s):
         m = _QUAD_RE.match(s)
         if m is None:
             return QuadExt(Fraction(s), 0)
@@ -275,7 +279,7 @@ class FloatField(Field):
     def is_zero(self, v):
         return v == 0.0
 
-    def parse(self, s):
+    def _parse(self, s):
         return float(s)
 
     def format(self, v):

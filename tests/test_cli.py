@@ -165,3 +165,87 @@ def test_float_dihedral_build(capsys):
 def test_i2_requires_m(capsys):
     code, _, err = run_cli(capsys, "build", "--type", "I2")
     assert code != 0
+
+
+def _b3_system(capsys):
+    code, out, _ = run_cli(capsys, "build", "--type", "B", "--rank", "3")
+    assert code == 0
+    return json.loads(out)
+
+
+def test_verify_rejects_forged_norm(tmp_path, capsys):
+    data = _b3_system(capsys)
+    assert data["entries"][0]["norm"] == "6"
+    data["entries"][0]["norm"] = "999"
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert "f_1: stored norm 999 != <f_1, f_1> = 6" in err
+    report = json.loads(out)
+    assert report["stored_norm_failures"] == ["f_1: stored norm 999 != <f_1, f_1> = 6"]
+    assert report["degree_label_failures"] == [] and report["passed"] is False
+
+
+def test_verify_rejects_swapped_entries(tmp_path, capsys):
+    data = _b3_system(capsys)
+    first, second = data["entries"][:2]
+    first["poly"], second["poly"] = second["poly"], first["poly"]
+    first["norm"], second["norm"] = second["norm"], first["norm"]
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    report = json.loads(out)
+    assert report["degree_label_failures"] == [
+        "f_1: degree label 2 != degree 4",
+        "f_2: degree label 4 != degree 2",
+    ]
+    assert report["degree_ok"] is True and report["passed"] is False
+
+
+def test_verify_float_norm_checked_to_relative_tolerance(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "build", "--type", "I2", "--m", "7")
+    data = json.loads(out)
+    norm = float(data["entries"][1]["norm"])
+    for factor, expected in ((1 + 1e-12, 0), (1 + 1e-6, 1)):
+        data["entries"][1]["norm"] = repr(norm * factor)
+        path = tmp_path / "i2-7.json"
+        path.write_text(json.dumps(data))
+        code, out2, _ = run_cli(capsys, "verify", str(path))
+        assert code == expected
+        assert len(json.loads(out2)["stored_norm_failures"]) == expected
+
+
+def _assert_one_line_error(code, out, err, *needles):
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+def test_verify_malformed_files_exit_2(tmp_path, capsys):
+    data = _b3_system(capsys)
+    no_entries = dict(data)
+    del no_entries["entries"]
+    bad_coef = json.loads(json.dumps(data))
+    bad_coef["entries"][0]["poly"]["terms"][0]["coef"] = "1/0"
+    bad_norm = json.loads(json.dumps(data))
+    bad_norm["entries"][1]["norm"] = "1/0"
+    for name, payload, needle in [("no-entries", no_entries, "'entries'"),
+                                  ("bad-coef", bad_coef, "'1/0'"),
+                                  ("bad-norm", bad_norm, "'1/0'"),
+                                  ("not-an-object", [1, 2], "malformed system")]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        _assert_one_line_error(*run_cli(capsys, "verify", str(path)), needle)
+
+
+def test_seed_file_malformed_exit_2(tmp_path, capsys):
+    path = tmp_path / "seeds.json"
+    seed = {"vars": 2, "field": "Q", "terms": [{"exp": [2, 0], "coef": "1/0"}]}
+    for payload, needle in [({"seeds": [seed]}, "'1/0'"),
+                            ({"seeds": [{"vars": 2, "field": "Q"}]}, "'terms'")]:
+        path.write_text(json.dumps(payload))
+        _assert_one_line_error(*run_cli(capsys, "build", "--type", "B", "--rank", "2",
+                                        "--seed", f"file:{path}"), needle)

@@ -1,8 +1,11 @@
 import json
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canoninv.polys import (
     OneForm,
@@ -14,7 +17,7 @@ from canoninv.polys import (
     oneform_inner,
     substitute_linear,
 )
-from canoninv.scalars import QQ, QSQRT5, is_positive
+from canoninv.scalars import QQ, QSQRT5, QuadExt, is_positive
 
 from conftest import get_group, random_polynomial
 
@@ -246,3 +249,83 @@ def test_str_rendering():
     assert str(x**2 - y**2) == "x1^2 - x2^2"
     assert str(Polynomial.zero(2, QQ)) == "0"
     assert (x * y).latex() == "x_{1}x_{2}"
+
+
+# -- property tests of the apply_diff kernel against a naive reference -------
+
+def reference_apply_diff(f, g):
+    """The naive double loop: falling factorials over Fraction/QuadExt values."""
+    out = {}
+    for ea, ca in f._terms.items():
+        for eb, cb in g._terms.items():
+            if all(a <= b for a, b in zip(ea, eb)):
+                coef = prod(factorial(b) // factorial(b - a) for a, b in zip(ea, eb))
+                key = tuple(b - a for a, b in zip(ea, eb))
+                out[key] = out.get(key, 0) + ca * cb * coef
+    return Polynomial(f.num_vars, f.field, out)
+
+
+# Largest exponents at the edges of the packed field width, plus 17.
+EXPONENT_TOPS = (1, 3, 4, 7, 8, 15, 16, 17)
+# Pairwise coprime denominators, so the common denominator is their product.
+DENOMINATORS = (1, 2, 3, 5, 7, 11, 16, 27)
+
+
+def fractions():
+    return st.builds(Fraction, st.integers(-50, 50), st.sampled_from(DENOMINATORS))
+
+
+def scalars(field):
+    if field is QSQRT5:
+        return st.builds(QuadExt, fractions(), fractions() | st.just(0))
+    return fractions()
+
+
+@st.composite
+def polynomials(draw, nv, field):
+    kind = draw(st.sampled_from(("zero", "constant", "sparse", "sparse")))
+    if kind == "zero":
+        return Polynomial.zero(nv, field)
+    if kind == "constant":
+        return Polynomial.constant(draw(scalars(field)), nv, field)
+    top = draw(st.sampled_from(EXPONENT_TOPS))
+    exponent = st.integers(0, top) | st.sampled_from((0, 1, top))
+    terms = draw(st.dictionaries(st.tuples(*[exponent] * nv), scalars(field),
+                                 min_size=1, max_size=6))
+    return Polynomial(nv, field, terms)
+
+
+@st.composite
+def operands(draw, count):
+    """``count`` polynomials over one field in one number of variables (1-7)."""
+    field = draw(st.sampled_from((QQ, QSQRT5)))
+    nv = draw(st.integers(1, 7))
+    return [draw(polynomials(nv, field)) for _ in range(count)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands(2))
+def test_apply_diff_kernel_matches_reference(pair):
+    f, g = pair
+    got = apply_diff(f, g)
+    assert got == reference_apply_diff(f, g)
+    kind = QuadExt if f.field is QSQRT5 else Fraction
+    assert all(type(c) is kind and c != 0 for c in got._terms.values())
+    assert apolar_inner(f, g) == got.constant_term()
+    assert apolar_inner(f, g) == apolar_inner(g, f)
+    assert got.constant_term() == apply_diff(g, f).constant_term()
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands(3))
+def test_apply_diff_operators_compose(triple):
+    f1, f2, g = triple
+    assert apply_diff(f1 * f2, g) == apply_diff(f1, apply_diff(f2, g))
+
+
+def test_apply_diff_operator_above_target_degree():
+    for field in (QQ, QSQRT5):
+        x, y = xy(field)
+        assert apply_diff(x**5 * y + y**3, x**4 * y**2 + y**2).is_zero()
+        assert apply_diff(x**17, x**16).is_zero()
+        assert apply_diff(x**16, x**17) == Polynomial.constant(factorial(17), 2, field) * x
