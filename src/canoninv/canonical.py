@@ -34,6 +34,7 @@ from .polys import (
     apply_diff,
     coefficient_rows,
     differential,
+    linear_form,
 )
 from .scalars import FLOAT, is_positive, to_float
 from .seeds import SeedSystem, seed_invariants
@@ -170,11 +171,18 @@ class InvariantSystem:
     @classmethod
     def from_json(cls, data):
         try:
+            g = data["group"]
+            if not (isinstance(g, dict) and type(g["type"]) is str and type(g["rank"]) is int
+                    and (g.get("m") is None or type(g["m"]) is int)):
+                raise ValueError("malformed system: group needs a string type, an int rank "
+                                 "and an int or null m")
             entries = []
             for e in data["entries"]:
                 poly = Polynomial.from_json(e["poly"])
+                if type(e["degree"]) is not int:
+                    raise ValueError(f"malformed system: degree {e['degree']!r} is not an int")
                 entries.append(InvariantEntry(poly, e["degree"], poly.field.parse(e["norm"])))
-            system = cls(entries, data["group"], data["provenance"])
+            system = cls(entries, g, data["provenance"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed system: {type(exc).__name__} {exc}") from None
         if not entries:
@@ -286,6 +294,7 @@ class VerificationReport:
     tolerance: float | None
     degree_label_failures: list  # "f_i: ..." lines naming the entry
     stored_norm_failures: list
+    root_span_failures: list
 
     def summary(self):
         if self.passed:
@@ -299,7 +308,8 @@ class VerificationReport:
             issues.append(f"f_{i + 1} is not invariant under generator {g + 1}")
         if not self.degree_ok:
             issues.append("degrees do not match the classical table")
-        return "; ".join(issues + self.degree_label_failures + self.stored_norm_failures)
+        return "; ".join(issues + self.degree_label_failures + self.stored_norm_failures
+                         + self.root_span_failures)
 
     def to_json(self, field):
         return {
@@ -315,6 +325,7 @@ class VerificationReport:
             "tolerance": self.tolerance,
             "degree_label_failures": self.degree_label_failures,
             "stored_norm_failures": self.stored_norm_failures,
+            "root_span_failures": self.root_span_failures,
         }
 
 
@@ -334,8 +345,10 @@ def verify_canonical(system: InvariantSystem, group: ReflectionGroup,
     For exact fields the cross-pairings must vanish identically (including
     i < j, where the pairing is a positive-degree polynomial).  For the float
     backend the system is unit-normalized first and coefficients are compared
-    against a tolerance.  Each entry's degree label must be its degree, and its
-    stored norm must be <f_i, f_i> (exactly, or to the relative tolerance).
+    against a tolerance.  Each entry's degree label must be its degree, its
+    stored norm must be <f_i, f_i> (exactly, or to the relative tolerance), and
+    it must lie in the root-span subalgebra: u(d) f_i = 0 for every fixed
+    direction u.
     """
     rs = group.root_system
     exact = rs.field is not FLOAT
@@ -381,6 +394,11 @@ def verify_canonical(system: InvariantSystem, group: ReflectionGroup,
                 if bad:
                     pair_failures.append(PairFailure(i, j, pairing))
 
+    root_span_failures = [
+        f"f_{i + 1}: not in the root-span subalgebra (fixed direction {k + 1})"
+        for i, p in enumerate(originals) for k, u in enumerate(rs.complement_basis)
+        if not apply_diff(linear_form(u, rs.field), p).is_zero()
+    ]
     invariance_failures = []
     for i, p in enumerate(originals):
         for gi, gen in enumerate(group.generators):
@@ -396,7 +414,8 @@ def verify_canonical(system: InvariantSystem, group: ReflectionGroup,
 
     degree_ok = system.degrees == list(rs.degrees)
     passed = degree_ok and not (pair_failures or norm_failures or invariance_failures
-                                or degree_label_failures or stored_norm_failures)
+                                or degree_label_failures or stored_norm_failures
+                                or root_span_failures)
     system.verified = bool(passed)
     return VerificationReport(
         passed=passed,
@@ -408,6 +427,7 @@ def verify_canonical(system: InvariantSystem, group: ReflectionGroup,
         tolerance=tolerance,
         degree_label_failures=degree_label_failures,
         stored_norm_failures=stored_norm_failures,
+        root_span_failures=root_span_failures,
     )
 
 

@@ -47,8 +47,6 @@ def _add_group_flags(p: argparse.ArgumentParser) -> None:
                    help="group type: A, B, D, I2, H3, H4, F4, E6")
     p.add_argument("--rank", type=int, default=None, help="rank (for A/B/D)")
     p.add_argument("--m", type=int, default=None, help="dihedral order parameter for I2")
-    p.add_argument("--field", default="auto", choices=["auto", "Q", "Qsqrt5", "float"],
-                   help="coefficient field (default: natural field of the type)")
     p.add_argument("--allow-large", action="store_true",
                    help="opt in to the expensive types H4 and E6")
 
@@ -57,9 +55,8 @@ def _build_group(args) -> ReflectionGroup:
     rank = args.rank
     if args.type_label in ("A", "B", "D") and rank is None:
         raise ValueError(f"type {args.type_label} needs --rank")
-    rs = build_root_system(args.type_label, rank, m=args.m,
-                           allow_large=args.allow_large, field_request=args.field)
-    return ReflectionGroup(rs)
+    return ReflectionGroup(build_root_system(args.type_label, rank, m=args.m,
+                                             allow_large=args.allow_large))
 
 
 def _load_seeds(group: ReflectionGroup, selector: str):
@@ -115,10 +112,12 @@ def cmd_verify(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         data = json.load(fh)
     system = InvariantSystem.from_json(data)
-    g = data["group"]
-    request = {"Q": "Q", "Q(sqrt5)": "Qsqrt5", "float": "float"}.get(g.get("field"), "auto")
-    rs = build_root_system(g["type"], g["rank"], m=g.get("m"), allow_large=True,
-                           field_request=request)
+    g = system.group_json
+    rs = build_root_system(g["type"], g["rank"], m=g.get("m"), allow_large=True)
+    if any(p.field is not rs.field or p.num_vars != rs.num_vars
+           for p in system.polynomials()):
+        raise ValueError(f"{rs.describe()} lives in {rs.num_vars} variables over "
+                         f"{rs.field.name}; the file's entries do not")
     group = ReflectionGroup(rs)
     report = verify_canonical(system, group)
     _emit(report.to_json(system.entries[0].polynomial.field))
@@ -144,9 +143,9 @@ def cmd_delta(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     group = _build_group(args)
+    oracle = pde_solve(group)
     constructed = canonical_system(group)
     report_c = verify_canonical(constructed, group)
-    oracle = pde_solve(group)
     report_o = verify_canonical(oracle, group)
     agreement = spans_agree(constructed.polynomials(), oracle.polynomials())
     result = {

@@ -19,6 +19,10 @@ The essential rank may therefore be smaller than the number of coordinates;
 ``RootSystem.projection`` is the orthogonal projector onto the span of the
 roots, used to push ambient polynomials into the subalgebra where the
 invariant theory happens.
+
+The model alone fixes the coefficient field: Q(sqrt5) for H3, H4, I2(5) and
+I2(10), floats for the planar I2(m) with no exact model, Q for everything
+else.
 """
 
 from __future__ import annotations
@@ -125,17 +129,6 @@ def _projection_matrix(num_vars, complement_basis, field: Field):
     return tuple(tuple(row) for row in proj)
 
 
-def _gram_schmidt_vectors(vectors, field: Field):
-    out = []
-    for v in vectors:
-        w = list(field.coerce(c) for c in v)
-        for u in out:
-            factor = linalg.dot(w, u) / linalg.dot(u, u)
-            w = [a - factor * b for a, b in zip(w, u)]
-        out.append(tuple(w))
-    return out
-
-
 def reflection_matrix(alpha, field: Field):
     """Orthogonal reflection across the hyperplane normal to ``alpha``."""
     alpha = tuple(field.coerce(c) for c in alpha)
@@ -201,7 +194,7 @@ _PHI_INV = GOLDEN - 1               # (sqrt5 - 1)/2 = 1/phi
 
 
 def _simple_root_data(type_label, rank, m):
-    """(num_vars, field, simple roots, complement basis) for exact models."""
+    """(num_vars, field, simple roots, orthogonal complement basis), or None if no exact model."""
     F = Fraction
     if type_label == "A":
         nv = rank + 1
@@ -256,9 +249,10 @@ def _simple_root_data(type_label, rank, m):
             for i in range(4)
         ]
         simples = [a1, a2] + rest
+        # already orthogonal, as the projector needs
         comp = [
             (F(0),) * 5 + (F(1), F(0), F(1)),
-            (F(0),) * 5 + (F(0), F(1), F(1)),
+            (F(0),) * 5 + (F(-1), F(2), F(1)),
         ]
         return 8, QQ, simples, comp
     if type_label == "I2":
@@ -283,7 +277,7 @@ def _simple_root_data(type_label, rank, m):
                 (-(_PHI + 2), QuadExt(-1), _PHI_INV),
             ]
             return 3, QSQRT5, simples, [(QuadExt(0), QuadExt(1), _PHI)]
-    raise ValueError(f"no exact model for type {type_label!r}")
+    return None  # I2(m) for any other m: no exact model
 
 
 def _build_float_dihedral(m: int) -> RootSystem:
@@ -296,44 +290,8 @@ def _build_float_dihedral(m: int) -> RootSystem:
     return RootSystem("I2", 2, m, 2, FLOAT, simples, roots, [])
 
 
-def resolve_field(type_label, m=None, requested: str = "auto") -> Field:
-    """Pick the coefficient field for a group, honoring an explicit request."""
-    if type_label in ("H3", "H4"):
-        natural = QSQRT5
-    elif type_label == "I2":
-        if m in (3, 4, 6):
-            natural = QQ
-        elif m in (5, 10):
-            natural = QSQRT5
-        else:
-            natural = FLOAT
-    else:
-        natural = QQ
-    if requested == "auto":
-        return natural
-    chosen = {"Q": QQ, "Qsqrt5": QSQRT5, "float": FLOAT}.get(requested)
-    if chosen is None:
-        raise ValueError(f"unknown field selector {requested!r}")
-    if type_label == "I2" and chosen is FLOAT:
-        return FLOAT  # planar float model exists for every m
-    if natural is QQ and chosen in (QQ, QSQRT5):
-        return chosen
-    if natural is QSQRT5 and chosen is QSQRT5:
-        return chosen
-    if natural is FLOAT and chosen is FLOAT:
-        return chosen
-    if natural is QSQRT5 and chosen is QQ:
-        raise ValueError(f"type {type_label} needs sqrt 5; it cannot run over plain Q")
-    if chosen is FLOAT:
-        raise ValueError("the float backend is reserved for dihedral groups I2(m)")
-    raise ValueError(
-        f"field {requested!r} cannot represent type {type_label} (needs {natural.name})"
-    )
-
-
-def build_root_system(type_label, rank, m=None, allow_large=False,
-                      field_request: str = "auto") -> RootSystem:
-    """Construct the root system for one supported (type, rank[, m])."""
+def build_root_system(type_label, rank, m=None, allow_large=False) -> RootSystem:
+    """Construct the root system of one supported (type, rank[, m]) over its model's field."""
     type_label = str(type_label)
     if type_label in ("E", "E7", "E8") and (type_label != "E" or rank in (7, 8)):
         raise ValueError(
@@ -370,16 +328,14 @@ def build_root_system(type_label, rank, m=None, allow_large=False,
         if m is None or m < 3:
             raise ValueError("type I2 needs m >= 3")
 
-    field = resolve_field(type_label, m, field_request)
-    if field is FLOAT:
+    data = _simple_root_data(type_label, rank, m)
+    if data is None:
         return _build_float_dihedral(m)
-
-    nv, _natural_field, simples, comp = _simple_root_data(type_label, rank, m)
+    nv, field, simples, comp = data
     simples = [tuple(field.coerce(c) for c in r) for r in simples]
     comp = [tuple(field.coerce(c) for c in u) for u in comp]
     expected = expected_positive_count(type_label, rank, m)
     positives = _closure_positive_roots(simples, field, expected)
-    comp = _gram_schmidt_vectors(comp, field)
     return RootSystem(type_label, rank, m, nv, field, simples, positives, comp)
 
 

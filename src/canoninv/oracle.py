@@ -20,6 +20,7 @@ from .polys import (
     coefficient_rows,
     monomials_of_degree,
 )
+from .scalars import FLOAT
 
 
 def hilbert_dimension(degrees, d: int) -> int:
@@ -80,10 +81,14 @@ def pde_solve(group: ReflectionGroup) -> InvariantSystem:
     every previously accepted member (f_prev(d)f = 0, an exact linear system
     on the invariant basis) form a space whose dimension must equal the
     multiplicity of m; the equal-degree block is then orthogonalized under
-    the apolar pairing.
+    the apolar pairing.  The field must be exact: a float nullspace has no
+    reliable dimension.
     """
     rs = group.root_system
     field = rs.field
+    if field is FLOAT:
+        raise ValueError(f"the PDE oracle needs an exact field; {rs.describe()} is "
+                         f"realized over {field.name}")
     degrees = list(rs.degrees)
     accepted: list[Polynomial] = []
     for degree in sorted(set(degrees)):

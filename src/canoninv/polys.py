@@ -247,8 +247,8 @@ class Polynomial:
             terms = {}
             for t in data["terms"]:
                 exp = tuple(t["exp"])
-                if len(exp) != nv:
-                    raise ValueError("exponent length does not match variable count")
+                if len(exp) != nv or not all(type(e) is int and e >= 0 for e in exp):
+                    raise ValueError(f"exponent {t['exp']!r} is not {nv} non-negative ints")
                 terms[exp] = field.parse(t["coef"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed polynomial: {type(exc).__name__} {exc}") from None

@@ -8,9 +8,8 @@ invariants; this module provides concrete defaults:
 * projected power sums for A_n,
 * the radial quadratic and the real part of (x + iy)^m for planar dihedral
   models,
-* Reynolds averages of powers of linear forms for everything else, with a
-  deterministic retry ladder in case a candidate vanishes or breaks
-  algebraic independence.
+* Reynolds averages of powers of linear forms (then of monomials) for
+  everything else, chosen greedily along a deterministic ladder.
 
 Validity is certified by the Jacobian J: invariants are algebraically
 independent iff J is not the zero polynomial.  Invariants of the table
@@ -19,11 +18,27 @@ fixed directions, which every group element fixes), so J = c * Delta for a
 scalar c, Delta being the fundamental antiinvariant.  At a point x0 off
 every reflecting hyperplane Delta(x0) != 0, hence J(x0) = 0 exactly when
 c = 0: the exact rank of the gradients at x0 decides independence both ways.
+
+The same rank picks the Reynolds seeds without backtracking.  Write any
+invariant of degree d as P(f_1, ..., f_n) in a basic system f.  Its gradient
+at x0 is the sum of (dP/df_j)(f(x0)) grad f_j(x0); the terms with deg f_j < d
+lie in the span L_d of the lower gradients, and for deg f_j = d the factor
+dP/df_j is the constant coefficient of f_j in P.  Since J(x0) != 0, the
+gradients of any valid lower seeds span the same L_d, so a candidate raises
+the rank of the rows taken so far exactly when its indecomposable part is
+independent of the degree-d seeds already taken.  A candidate that does not
+raise the rank has no valid completion; one that does always has one (graded
+Nakayama), and the later degrees see the same span whichever basis of a
+degree block was taken.  Within an equal-degree block the greedy choice is
+the lexicographically first basis of the matroid, so the greedy pass returns
+exactly the first success of a depth-first search over the same ladder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from math import comb
 
 from . import linalg
 from .groups import (
@@ -34,8 +49,7 @@ from .groups import (
     reynolds,
     reynolds_linear_power,
 )
-from .polys import Polynomial, coefficient_rows, monomials_of_degree, substitute_linear
-from .scalars import FLOAT
+from .polys import Polynomial, monomials_of_degree, substitute_linear
 
 
 @dataclass
@@ -68,16 +82,8 @@ def _planar_dihedral_seeds(rs: RootSystem):
     # Invariants of the dihedral group whose first mirror is the x-axis:
     # the radial quadratic and Re((x + iy)^m).
     field, m = rs.field, rs.m
-    radial = _power_sum(2, field, 2)
-    terms = {}
-    sign = 1
-    for k in range(0, m + 1, 2):
-        binom = 1
-        for t in range(k):
-            binom = binom * (m - t) // (t + 1)
-        terms[(m - k, k)] = sign * binom
-        sign = -sign
-    return [radial, Polynomial(2, field, terms)]
+    terms = {(m - k, k): (-1) ** (k // 2) * comb(m, k) for k in range(0, m + 1, 2)}
+    return [_power_sum(2, field, 2), Polynomial(2, field, terms)]
 
 
 def _power_sum_seeds(group: ReflectionGroup) -> SeedSystem:
@@ -132,64 +138,41 @@ _MAX_CANDIDATES_PER_SLOT = 24
 
 
 def _reynolds_seeds(group: ReflectionGroup) -> SeedSystem:
-    """Fill every classical degree with Reynolds averages.
+    """Fill every classical degree with Reynolds averages, greedily.
 
-    Depth-first search over the deterministic candidate ladder: a candidate
-    must be nonzero, of the right degree, and linearly independent inside its
-    equal-degree block; complete assignments must pass the Jacobian
-    certificate (within-degree independence cannot see relations like p^2
-    against a lower-degree seed p).  Averages are memoized so backtracking
-    never recomputes them.
+    In ascending degree, each slot takes the first candidate of its degree
+    whose gradient at x0 raises the rank of the rows taken so far (the fixed
+    directions first); equal-degree slots continue the same ladder.  The
+    module docstring proves that no backtracking could do better.
     """
     rs = group.root_system
-    degrees = rs.degrees
-    slots = len(degrees)
-    generators = {d: _reynolds_candidates(group, d) for d in set(degrees)}
-    computed: dict = {d: [] for d in set(degrees)}
-
-    def candidate(degree, index):
-        pool = computed[degree]
-        while len(pool) <= index:
-            try:
-                pool.append(next(generators[degree]))
-            except StopIteration:
-                return None
-            if len(pool) > _MAX_CANDIDATES_PER_SLOT:
-                return None
-        return pool[index]
-
-    def extend(chosen, i):
-        if i == slots:
-            system = SeedSystem(list(chosen), list(degrees), "reynolds")
-            return system if jacobian_certificate(system, group) else None
-        index = 0
-        while True:
-            cand = candidate(degrees[i], index)
-            index += 1
-            if cand is None:
-                return None
-            if cand.is_zero() or cand.homogeneous_degree() != degrees[i]:
+    point = _generic_point(rs)
+    rows = list(rs.complement_basis)
+    ladders = {d: islice(_reynolds_candidates(group, d), _MAX_CANDIDATES_PER_SLOT)
+               for d in set(rs.degrees)}
+    chosen = []
+    for degree in rs.degrees:
+        for cand in ladders[degree]:
+            if cand.homogeneous_degree() != degree:
                 continue
-            block = [p for p, d in zip(chosen, degrees) if d == degrees[i]] + [cand]
-            if linalg.rank(coefficient_rows(block), rs.field) < len(block):
-                continue
-            found = extend(chosen + [cand], i + 1)
-            if found is not None:
-                return found
-
-    system = extend([], 0)
-    if system is None:
-        raise RuntimeError(
-            f"no algebraically independent Reynolds seed system found for {rs.describe()}"
-        )
-    return system
+            row = _gradient_at(cand, point)
+            if linalg.rank(rows + [row], rs.field) > len(rows):
+                rows.append(row)
+                chosen.append(cand)
+                break
+        else:
+            raise RuntimeError(
+                f"no algebraically independent Reynolds seed system found for {rs.describe()}"
+            )
+    return SeedSystem(chosen, list(rs.degrees), "reynolds")
 
 
 def seed_invariants(group: ReflectionGroup, strategy: str = "auto") -> SeedSystem:
     """A valid system of basic invariants for the group.
 
     ``strategy`` is one of ``auto`` (closed-form family when one exists,
-    Reynolds averaging otherwise), ``power-sums``, or ``reynolds``.
+    Reynolds averaging otherwise), ``power-sums``, or ``reynolds``.  Every
+    result passes the point-rank certificate once before it is returned.
     """
     rs = group.root_system
     has_closed_form = rs.type_label in ("A", "B", "D") or (
@@ -198,21 +181,18 @@ def seed_invariants(group: ReflectionGroup, strategy: str = "auto") -> SeedSyste
     if strategy == "auto":
         strategy = "power-sums" if has_closed_form else "reynolds"
     if strategy == "power-sums":
-        if not has_closed_form:
-            raise ValueError(f"no closed-form seeds for {rs.describe()}; use reynolds")
         system = _power_sum_seeds(group)
-        if rs.field is not FLOAT and not jacobian_certificate(system, group):
-            raise RuntimeError(
-                f"seed system for {rs.describe()} failed the independence certificate"
-            )
     elif strategy == "reynolds":
-        # certified inside the search
         system = _reynolds_seeds(group)
     else:
         raise ValueError(f"unknown seed strategy {strategy!r}")
     if list(system.degrees) != list(rs.degrees):
         raise RuntimeError(
             f"seed degrees {system.degrees} do not match the classical table {rs.degrees}"
+        )
+    if not jacobian_certificate(system, group):
+        raise RuntimeError(
+            f"seed system for {rs.describe()} failed the independence certificate"
         )
     return system
 
@@ -257,6 +237,10 @@ def _generic_point(rs: RootSystem):
         k += 1
 
 
+def _gradient_at(p: Polynomial, point):
+    return [p.partial(j).evaluate(point) for j in range(p.num_vars)]
+
+
 def jacobian_certificate(system: SeedSystem, group: ReflectionGroup) -> bool:
     """Whether the seeds are algebraically independent.
 
@@ -267,8 +251,7 @@ def jacobian_certificate(system: SeedSystem, group: ReflectionGroup) -> bool:
     rs = group.root_system
     nv = rs.num_vars
     point = _generic_point(rs)
-    rows = [[p.partial(j).evaluate(point) for j in range(nv)] for p in system.polynomials]
-    rows += rs.complement_basis
+    rows = [_gradient_at(p, point) for p in system.polynomials] + list(rs.complement_basis)
     if len(rows) != nv:
         raise ValueError("seed count plus fixed directions must equal the variable count")
     return linalg.rank(rows, rs.field) == nv

@@ -1,4 +1,10 @@
+import contextlib
+import functools
+import io
 import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canoninv.cli import main
 
@@ -249,3 +255,112 @@ def test_seed_file_malformed_exit_2(tmp_path, capsys):
         path.write_text(json.dumps(payload))
         _assert_one_line_error(*run_cli(capsys, "build", "--type", "B", "--rank", "2",
                                         "--seed", f"file:{path}"), needle)
+
+
+def test_verify_rejects_entry_outside_root_span(tmp_path, capsys):
+    from canoninv.polys import Polynomial, apolar_inner, linear_form
+    from canoninv.scalars import QQ
+
+    code, out, _ = run_cli(capsys, "build", "--type", "A", "--rank", "2")
+    data = json.loads(out)
+    # (x1 + x2 + x3)^2 is invariant and pairs to zero with f_2, but lives off the root span
+    f = Polynomial.from_json(data["entries"][0]["poly"]) + linear_form((1, 1, 1), QQ) ** 2
+    data["entries"][0]["poly"] = f.to_json()
+    data["entries"][0]["norm"] = QQ.format(apolar_inner(f, f))
+    path = tmp_path / "a2-off-span.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    message = "f_1: not in the root-span subalgebra (fixed direction 1)"
+    assert message in err
+    report = json.loads(out)
+    assert report["root_span_failures"] == [message]
+    assert report["pair_failures"] == [] and report["stored_norm_failures"] == []
+
+
+def test_verify_rejects_entries_over_another_field(tmp_path, capsys):
+    data = _b3_system(capsys)
+    for entry in data["entries"]:
+        entry["poly"]["field"] = "Q(sqrt5)"
+    path = tmp_path / "b3-sqrt5.json"
+    path.write_text(json.dumps(data))
+    _assert_one_line_error(*run_cli(capsys, "verify", str(path)), "B3", "over Q")
+
+
+def test_verify_schema_errors_exit_2(tmp_path, capsys):
+    data = _b3_system(capsys)
+    delete = object()
+    cases = [
+        (("group", "type"), delete, "'type'"),
+        (("group",), None, "group needs"),
+        (("group", "rank"), "3", "group needs"),
+        (("group", "m"), "5", "group needs"),
+        (("entries", 0, "degree"), "2", "degree"),
+        (("entries", 0, "poly", "terms", 0, "exp", 0), -1, "non-negative ints"),
+        (("entries", 0, "poly", "terms", 0, "exp", 0), 1.5, "non-negative ints"),
+    ]
+    for path_keys, value, needle in cases:
+        forged = json.loads(json.dumps(data))
+        node = forged
+        for key in path_keys[:-1]:
+            node = node[key]
+        if value is delete:
+            del node[path_keys[-1]]
+        else:
+            node[path_keys[-1]] = value
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(forged))
+        _assert_one_line_error(*run_cli(capsys, "verify", str(path)), needle)
+
+
+def test_oracle_refuses_float_groups(capsys):
+    _assert_one_line_error(*run_cli(capsys, "oracle-compare", "--type", "I2", "--m", "7"),
+                           "exact field", "I2(7)", "float")
+
+
+@functools.cache
+def _b2_text():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["build", "--type", "B", "--rank", "2", "--verify"]) == 0
+    return out.getvalue()
+
+
+def _b2_file():
+    """A fresh copy of a verified B2 system file."""
+    return json.loads(_b2_text())
+
+
+def _json_paths(node, path=()):
+    """Every key path below the root of a JSON document."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+_REPLACEMENTS = st.one_of(st.none(), st.integers(-3, 3), st.text(max_size=3),
+                          st.just([]), st.just({}))
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_verify_survives_mutated_files(tmp_path_factory, data):
+    doc = _b2_file()
+    path = data.draw(st.sampled_from(list(_json_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_REPLACEMENTS)
+    file = tmp_path_factory.mktemp("fuzz") / "b2.json"
+    file.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(file)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().count("\n") == 1

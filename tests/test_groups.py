@@ -224,14 +224,30 @@ def test_float_dihedral_model():
 
 
 def test_field_selection_rules():
-    assert build_root_system("B", 2, field_request="Qsqrt5").field is QSQRT5
-    with pytest.raises(ValueError):
-        build_root_system("H3", 3, field_request="Q")
-    with pytest.raises(ValueError):
-        build_root_system("I2", 2, m=5, field_request="Q")
-    with pytest.raises(ValueError):
-        build_root_system("B", 3, field_request="float")
-    assert build_root_system("I2", 2, m=5, field_request="float").field is FLOAT
+    # the model of the type alone fixes the field
+    for type_label, rank, m, field in [
+        ("A", 3, None, QQ), ("B", 2, None, QQ), ("D", 4, None, QQ), ("F4", 4, None, QQ),
+        ("E", 6, None, QQ), ("H3", 3, None, QSQRT5), ("H4", 4, None, QSQRT5),
+        ("I2", 2, 3, QQ), ("I2", 2, 4, QQ), ("I2", 2, 6, QQ),
+        ("I2", 2, 5, QSQRT5), ("I2", 2, 10, QSQRT5),
+        ("I2", 2, 7, FLOAT), ("I2", 2, 8, FLOAT), ("I2", 2, 12, FLOAT),
+    ]:
+        assert build_root_system(type_label, rank, m=m, allow_large=True).field is field
+
+
+@pytest.mark.parametrize("type_label,rank,m", [
+    ("A", 1, None), ("A", 2, None), ("A", 3, None), ("A", 4, None), ("A", 5, None),
+    ("I2", 2, 3), ("I2", 2, 5), ("I2", 2, 6), ("I2", 2, 10), ("E", 6, None),
+])
+def test_complement_basis_is_orthogonal(type_label, rank, m):
+    rs = build_root_system(type_label, rank, m=m, allow_large=True)
+    comp = rs.complement_basis
+    assert len(comp) == rs.num_vars - rs.rank
+    for k, u in enumerate(comp):
+        assert all(rs.field.is_zero(linalg.dot(u, a)) for a in rs.simple_roots)
+        assert all(rs.field.is_zero(linalg.dot(u, v)) for v in comp[k + 1:])
+    proj = rs.projection
+    assert linalg.mat_mul(proj, proj) == proj
 
 
 def test_e7_e8_rejected_cleanly():

@@ -1,10 +1,15 @@
+import json
+
 import pytest
 
-from canoninv.groups import antiinvariant, group_action
-from canoninv.polys import Polynomial
+from canoninv import linalg, seeds as seeds_module
+from canoninv.groups import ReflectionGroup, antiinvariant, build_root_system, group_action
+from canoninv.polys import Polynomial, coefficient_rows
 from canoninv.scalars import QQ
 from canoninv.seeds import (
+    _MAX_CANDIDATES_PER_SLOT,
     SeedSystem,
+    _reynolds_candidates,
     jacobian_certificate,
     seed_invariants,
     validate_user_seeds,
@@ -182,3 +187,90 @@ def test_a_type_seeds_live_in_the_root_span_algebra():
         for j in range(p.num_vars):
             total = total + p.partial(j)
         assert total.is_zero()
+
+
+def depth_first_reynolds_seeds(group):
+    """Reference for the greedy Reynolds pass: a depth-first search with backtracking.
+
+    A candidate must be nonzero, of the right degree and linearly independent
+    inside its equal-degree block; each complete assignment must pass the
+    Jacobian certificate.  Returns the first success and the number of
+    certificate calls it took.
+    """
+    rs = group.root_system
+    degrees = rs.degrees
+    slots = len(degrees)
+    generators = {d: _reynolds_candidates(group, d) for d in set(degrees)}
+    computed = {d: [] for d in set(degrees)}
+    calls = [0]
+
+    def candidate(degree, index):
+        pool = computed[degree]
+        while len(pool) <= index:
+            try:
+                pool.append(next(generators[degree]))
+            except StopIteration:
+                return None
+            if len(pool) > _MAX_CANDIDATES_PER_SLOT:
+                return None
+        return pool[index]
+
+    def extend(chosen, i):
+        if i == slots:
+            system = SeedSystem(list(chosen), list(degrees), "reynolds")
+            calls[0] += 1
+            return system if jacobian_certificate(system, group) else None
+        index = 0
+        while True:
+            cand = candidate(degrees[i], index)
+            index += 1
+            if cand is None:
+                return None
+            if cand.is_zero() or cand.homogeneous_degree() != degrees[i]:
+                continue
+            block = [p for p, d in zip(chosen, degrees) if d == degrees[i]] + [cand]
+            if linalg.rank(coefficient_rows(block), rs.field) < len(block):
+                continue
+            found = extend(chosen + [cand], i + 1)
+            if found is not None:
+                return found
+
+    return extend([], 0), calls[0]
+
+
+@pytest.mark.parametrize("type_label,rank,m,strategy", [
+    ("B", 3, None, "reynolds"), ("D", 4, None, "reynolds"), ("A", 3, None, "reynolds"),
+    ("H3", 3, None, "auto"), ("I2", 2, 5, "auto"), ("I2", 2, 10, "auto"),
+])
+def test_greedy_reynolds_matches_depth_first_reference(type_label, rank, m, strategy):
+    group = get_group(type_label, rank, m)
+    greedy = seed_invariants(group, strategy)
+    reference, calls = depth_first_reynolds_seeds(group)
+    assert greedy.provenance == reference.provenance == "reynolds"
+    assert (json.dumps([p.to_json() for p in greedy.polynomials])
+            == json.dumps([p.to_json() for p in reference.polynomials]))
+    if type_label == "D":
+        assert calls > 1  # the reference backtracks here; the greedy pass never does
+
+
+@pytest.mark.parametrize("type_label,rank,m,strategy", [
+    ("B", 3, None, "auto"), ("A", 3, None, "power-sums"), ("D", 4, None, "reynolds"),
+    ("H3", 3, None, "auto"), ("I2", 2, 5, "reynolds"), ("I2", 2, 7, "auto"),
+    ("I2", 2, 12, "reynolds"),
+])
+def test_every_strategy_is_certified_once(monkeypatch, type_label, rank, m, strategy):
+    calls = []
+
+    def counting(system, group):
+        calls.append(system)
+        return jacobian_certificate(system, group)
+
+    monkeypatch.setattr(seeds_module, "jacobian_certificate", counting)
+    system = seed_invariants(get_group(type_label, rank, m), strategy)
+    assert calls == [system]
+
+
+@pytest.mark.parametrize("m", [7, 8, 9, 11, 12, 13, 17, 30, 60])
+def test_float_planar_seeds_pass_the_certificate(m):
+    group = ReflectionGroup(build_root_system("I2", 2, m=m))
+    assert jacobian_certificate(seed_invariants(group), group) is True
