@@ -11,7 +11,7 @@ from canoninv import ReflectionGroup, build_root_system, canonical_system, verif
 rs = build_root_system("I2", 2, m=7)
 group = ReflectionGroup(rs)
 print("field:", rs.field.name, "| positive roots:", len(rs.positive_roots),
-      "| group order:", len(group.enumerate()))
+      "| group order:", group.order)
 
 system = canonical_system(group)
 for i, e in enumerate(system.entries, start=1):

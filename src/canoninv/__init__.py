@@ -12,7 +12,6 @@ from .polys import (
     substitute_linear,
 )
 from .groups import (
-    GroupOrderCapExceeded,
     ReflectionGroup,
     RootSystem,
     antiinvariant,
@@ -41,7 +40,7 @@ __all__ = [
     "FLOAT", "QQ", "QSQRT5", "QuadExt", "field_by_name", "is_positive", "to_float",
     "OneForm", "Polynomial", "apolar_inner", "apply_diff", "differential",
     "linear_form", "oneform_inner", "substitute_linear",
-    "GroupOrderCapExceeded", "ReflectionGroup", "RootSystem", "antiinvariant",
+    "ReflectionGroup", "RootSystem", "antiinvariant",
     "build_root_system", "classical_degrees", "group_action", "reflection_matrix",
     "reynolds",
     "SeedSystem", "jacobian_certificate", "seed_invariants",

@@ -416,7 +416,6 @@ def verify_canonical(system: InvariantSystem, group: ReflectionGroup,
     passed = degree_ok and not (pair_failures or norm_failures or invariance_failures
                                 or degree_label_failures or stored_norm_failures
                                 or root_span_failures)
-    system.verified = bool(passed)
     return VerificationReport(
         passed=passed,
         pair_failures=pair_failures,

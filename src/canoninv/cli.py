@@ -21,12 +21,7 @@ import sys
 import time
 
 from .canonical import InvariantSystem, canonical_system, transfer, verify_canonical
-from .groups import (
-    GroupOrderCapExceeded,
-    ReflectionGroup,
-    antiinvariant,
-    build_root_system,
-)
+from .groups import ReflectionGroup, antiinvariant, build_root_system
 from .oracle import pde_solve, spans_agree
 from .polys import Polynomial
 from .seeds import seed_invariants, validate_user_seeds
@@ -60,14 +55,16 @@ def _build_group(args) -> ReflectionGroup:
 
 
 def _load_seeds(group: ReflectionGroup, selector: str):
-    if selector in ("auto", "power-sums", "reynolds"):
-        return seed_invariants(group, selector)
+    if selector == "auto":
+        return seed_invariants(group)
     if selector.startswith("file:"):
         with open(selector[5:], encoding="utf-8") as fh:
             data = json.load(fh)
+        if not (isinstance(data, dict) and isinstance(data.get("seeds"), list)):
+            raise ValueError("malformed seed file: expected an object with a list 'seeds'")
         polys = [Polynomial.from_json(p) for p in data["seeds"]]
         return validate_user_seeds(polys, group)
-    raise ValueError(f"unknown seed selector {selector!r}")
+    raise ValueError(f"unknown seed selector {selector!r}; use auto or file:<path>")
 
 
 def _format_system(system: InvariantSystem, fmt: str, report=None):
@@ -102,6 +99,7 @@ def cmd_build(args) -> int:
     report = None
     if args.verify:
         report = verify_canonical(system, group)
+        system.verified = report.passed
     _format_system(system, args.format, report)
     if report is not None and not report.passed:
         return _fail(f"verification failed: {report.summary()}")
@@ -196,7 +194,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="construct a canonical system")
     _add_group_flags(p)
     p.add_argument("--seed", default="auto",
-                   help="seed selector: auto | power-sums | reynolds | file:<path>")
+                   help="seed selector: auto | file:<path>")
     p.add_argument("--mode", default="generic", choices=["generic", "refined"])
     p.add_argument("--format", default="json", choices=["json", "latex", "summary"])
     p.add_argument("--verify", action="store_true", help="verify before emitting")
@@ -226,8 +224,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GroupOrderCapExceeded as exc:
-        return _fail(f"group too large: {exc}", 2)
     except (ValueError, RuntimeError, OSError) as exc:
         return _fail(f"error: {exc}", 2)
 

@@ -13,7 +13,8 @@ exact:
 
 Every matrix is orthogonal with exact entries, so the apolar pairing is
 invariant under the group action.  Dihedral groups I2(m) for other m fall
-back to a planar float model.
+back to a planar float model, which has closed-form seeds and is never
+enumerated.
 
 The essential rank may therefore be smaller than the number of coordinates;
 ``RootSystem.projection`` is the orthogonal projector onto the span of the
@@ -28,23 +29,11 @@ else.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
 from . import linalg
 from .polys import Polynomial, linear_form, substitute_linear
 from .scalars import FLOAT, GOLDEN, QQ, QSQRT5, Field, QuadExt
-
-DEFAULT_MAX_GROUP_ORDER = 52_000
-
-
-class GroupOrderCapExceeded(RuntimeError):
-    """The requested group is larger than the configured enumeration cap."""
-
-
-def max_group_order() -> int:
-    value = os.environ.get("CANON_MAX_GROUP_ORDER")
-    return int(value) if value else DEFAULT_MAX_GROUP_ORDER
 
 
 def classical_degrees(type_label: str, rank: int, m: int | None = None) -> list[int]:
@@ -295,8 +284,8 @@ def build_root_system(type_label, rank, m=None, allow_large=False) -> RootSystem
     type_label = str(type_label)
     if type_label in ("E", "E7", "E8") and (type_label != "E" or rank in (7, 8)):
         raise ValueError(
-            "types E7 and E8 are out of scope: their groups exceed the enumeration "
-            "cap and the antiinvariant is beyond desk scale"
+            "types E7 and E8 are out of scope: their groups are too large to "
+            "enumerate and the antiinvariant is beyond desk scale"
         )
     if type_label == "E":
         if rank != 6:
@@ -366,15 +355,10 @@ class ReflectionGroup:
         """All group elements as (matrix, determinant) pairs, breadth-first."""
         if self._elements is not None:
             return self._elements
-        cap = max_group_order()
-        if self.order > cap:
-            raise GroupOrderCapExceeded(
-                f"group {self.root_system.describe()} has order {self.order}, "
-                f"which exceeds the cap {cap} (set CANON_MAX_GROUP_ORDER to raise it)"
-            )
+        name = self.root_system.describe()
         if self.field is FLOAT:
-            self._elements = self._enumerate_float_dihedral()
-            return self._elements
+            raise ValueError(f"cannot enumerate {name}: products of its float "
+                             "matrices never close into a finite set")
         ident = linalg.identity(self.num_vars, self.field)
         seen = {ident: 1}
         frontier = [ident]
@@ -388,30 +372,14 @@ class ReflectionGroup:
                         seen[prod] = -dw
                         new.append(prod)
             frontier = new
-            if len(seen) > cap:
-                raise GroupOrderCapExceeded(
-                    f"enumeration exceeded the cap {cap} for {self.root_system.describe()}"
-                )
+            if len(seen) > self.order:
+                raise ValueError(f"enumeration of {name} exceeded its order {self.order}")
         if len(seen) != self.order:
             raise ValueError(
                 f"enumerated {len(seen)} elements, expected {self.order}"
             )
         self._elements = [(w, d) for w, d in seen.items()]
         return self._elements
-
-    def _enumerate_float_dihedral(self):
-        # Rotations by 2*pi*k/m plus reflections across the m mirrors; closing
-        # float matrices under products would need fuzzy dedup, so build them
-        # analytically.
-        m = self.root_system.m
-        out = []
-        for k in range(m):
-            t = 2 * math.pi * k / m
-            out.append((((math.cos(t), -math.sin(t)), (math.sin(t), math.cos(t))), 1))
-            u = 2 * math.pi * k / (2 * m)
-            out.append((((math.cos(2 * u), math.sin(2 * u)),
-                         (math.sin(2 * u), -math.cos(2 * u))), -1))
-        return out
 
 
 def group_action(matrix, f: Polynomial) -> Polynomial:

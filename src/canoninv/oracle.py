@@ -102,17 +102,11 @@ def pde_solve(group: ReflectionGroup) -> InvariantSystem:
         # coefficient of f_prev(d)(candidate) vanishes.
         rows = []
         for prev in accepted:
-            images = [apply_diff(prev, b) for b in basis]
-            support = sorted({e for img in images for e, _ in img.sorted_terms()})
-            for exp in support:
-                rows.append([img.coefficient(exp) for img in images])
+            rows += linalg.transpose(coefficient_rows([apply_diff(prev, b) for b in basis]))
         if rows:
             solution = linalg.nullspace(rows, field)
         else:
-            solution = [
-                tuple(field.one if i == k else field.zero for i in range(len(basis)))
-                for k in range(len(basis))
-            ]
+            solution = linalg.identity(len(basis), field)
         if len(solution) != multiplicity:
             raise RuntimeError(
                 f"degree {degree}: solution space has dimension {len(solution)}, "

@@ -8,8 +8,8 @@ invariants; this module provides concrete defaults:
 * projected power sums for A_n,
 * the radial quadratic and the real part of (x + iy)^m for planar dihedral
   models,
-* Reynolds averages of powers of linear forms (then of monomials) for
-  everything else, chosen greedily along a deterministic ladder.
+* Reynolds averages of powers of linear forms for everything else, chosen
+  greedily along a deterministic ladder.
 
 Validity is certified by the Jacobian J: invariants are algebraically
 independent iff J is not the zero polynomial.  Invariants of the table
@@ -37,19 +37,11 @@ exactly the first success of a depth-first search over the same ladder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import comb
 
 from . import linalg
-from .groups import (
-    ReflectionGroup,
-    RootSystem,
-    group_action,
-    project_polynomial,
-    reynolds,
-    reynolds_linear_power,
-)
-from .polys import Polynomial, monomials_of_degree, substitute_linear
+from .groups import ReflectionGroup, RootSystem, group_action, reynolds_linear_power
+from .polys import Polynomial, substitute_linear
 
 
 @dataclass
@@ -86,7 +78,8 @@ def _planar_dihedral_seeds(rs: RootSystem):
     return [_power_sum(2, field, 2), Polynomial(2, field, terms)]
 
 
-def _power_sum_seeds(group: ReflectionGroup) -> SeedSystem:
+def _power_sum_seeds(group: ReflectionGroup) -> SeedSystem | None:
+    """The closed-form seed family of the group, or None if it has none."""
     rs = group.root_system
     nv, field = rs.num_vars, rs.field
     label = rs.type_label
@@ -105,11 +98,11 @@ def _power_sum_seeds(group: ReflectionGroup) -> SeedSystem:
     if label == "I2" and (rs.num_vars == 2):
         polys = _planar_dihedral_seeds(rs)
         return SeedSystem(polys, [2, rs.m], "power-sum")
-    raise ValueError(f"no closed-form seed family for type {rs.describe()}; use reynolds")
+    return None
 
 
 def _candidate_forms(nv):
-    """Deterministic ladder of linear forms whose powers get averaged."""
+    """Deterministic ladder of 3n - 3 linear forms whose powers get averaged."""
     for t in range(1, nv + 1):
         yield tuple(1 if j < t else 0 for j in range(nv))
     for t in range(1, nv):
@@ -119,7 +112,7 @@ def _candidate_forms(nv):
 
 
 def _reynolds_candidates(group: ReflectionGroup, degree: int):
-    """Lazily yield candidate invariants of one degree, deterministically."""
+    """Lazily yield the averaged powers of the projected ladder forms, in order."""
     rs = group.root_system
     nv, field = rs.num_vars, rs.field
     proj = rs.projection
@@ -128,13 +121,6 @@ def _reynolds_candidates(group: ReflectionGroup, degree: int):
         if all(field.is_zero(c) for c in vec):
             continue
         yield reynolds_linear_power(vec, degree, group)
-    for exp in monomials_of_degree(nv, degree):
-        mono = Polynomial.monomial(exp, 1, field)
-        # project after averaging: cheaper and equal, the projector commutes
-        yield project_polynomial(reynolds(mono, group), rs)
-
-
-_MAX_CANDIDATES_PER_SLOT = 24
 
 
 def _reynolds_seeds(group: ReflectionGroup) -> SeedSystem:
@@ -148,8 +134,7 @@ def _reynolds_seeds(group: ReflectionGroup) -> SeedSystem:
     rs = group.root_system
     point = _generic_point(rs)
     rows = list(rs.complement_basis)
-    ladders = {d: islice(_reynolds_candidates(group, d), _MAX_CANDIDATES_PER_SLOT)
-               for d in set(rs.degrees)}
+    ladders = {d: _reynolds_candidates(group, d) for d in set(rs.degrees)}
     chosen = []
     for degree in rs.degrees:
         for cand in ladders[degree]:
@@ -167,25 +152,15 @@ def _reynolds_seeds(group: ReflectionGroup) -> SeedSystem:
     return SeedSystem(chosen, list(rs.degrees), "reynolds")
 
 
-def seed_invariants(group: ReflectionGroup, strategy: str = "auto") -> SeedSystem:
+def seed_invariants(group: ReflectionGroup) -> SeedSystem:
     """A valid system of basic invariants for the group.
 
-    ``strategy`` is one of ``auto`` (closed-form family when one exists,
-    Reynolds averaging otherwise), ``power-sums``, or ``reynolds``.  Every
-    result passes the point-rank certificate once before it is returned.
+    The closed-form family when the group has one, Reynolds averages
+    otherwise.  The result passes the point-rank certificate once before it
+    is returned.
     """
     rs = group.root_system
-    has_closed_form = rs.type_label in ("A", "B", "D") or (
-        rs.type_label == "I2" and rs.num_vars == 2
-    )
-    if strategy == "auto":
-        strategy = "power-sums" if has_closed_form else "reynolds"
-    if strategy == "power-sums":
-        system = _power_sum_seeds(group)
-    elif strategy == "reynolds":
-        system = _reynolds_seeds(group)
-    else:
-        raise ValueError(f"unknown seed strategy {strategy!r}")
+    system = _power_sum_seeds(group) or _reynolds_seeds(group)
     if list(system.degrees) != list(rs.degrees):
         raise RuntimeError(
             f"seed degrees {system.degrees} do not match the classical table {rs.degrees}"

@@ -26,7 +26,7 @@ from canoninv.polys import (
     oneform_inner,
 )
 from canoninv.scalars import QQ, is_positive, to_float
-from canoninv.seeds import seed_invariants
+from canoninv.seeds import _reynolds_seeds, seed_invariants
 
 from conftest import get_group, random_polynomial
 
@@ -248,8 +248,8 @@ def test_criterion_7_contraction_and_differential_identities():
 def test_criterion_8_seed_independence():
     for type_label, rank, m in [("B", 3, None), ("D", 4, None)]:
         group = get_group(type_label, rank, m)
-        sys_power = canonical_system(group, seeds=seed_invariants(group, "power-sums"))
-        sys_reyn = canonical_system(group, seeds=seed_invariants(group, "reynolds"))
+        sys_power = canonical_system(group, seeds=seed_invariants(group))
+        sys_reyn = canonical_system(group, seeds=_reynolds_seeds(group))
         assert verify_canonical(sys_power, group).passed
         assert verify_canonical(sys_reyn, group).passed
         agreement = spans_agree(sys_power.polynomials(), sys_reyn.polynomials())

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from canoninv.polys import (
     oneform_inner,
 )
 from canoninv.scalars import QQ, is_positive, to_float
-from canoninv.seeds import SeedSystem, seed_invariants, validate_user_seeds
+from canoninv.seeds import SeedSystem, _reynolds_seeds, seed_invariants, validate_user_seeds
 
 from conftest import get_group, random_polynomial
 
@@ -256,7 +257,7 @@ def test_single_entry_system_passes():
 def test_system_json_round_trip():
     group = get_group("B", 2)
     system = canonical_system(group)
-    verify_canonical(system, group)
+    system.verified = verify_canonical(system, group).passed
     data = system.to_json()
     back = InvariantSystem.from_json(data)
     assert [e.polynomial for e in back.entries] == [e.polynomial for e in system.entries]
@@ -390,12 +391,61 @@ def test_root_scaling_changes_nothing_after_verification():
 @pytest.mark.parametrize("type_label,rank,m", [("B", 3, None), ("D", 4, None)])
 def test_seed_choice_does_not_change_spans(type_label, rank, m):
     group = get_group(type_label, rank, m)
-    sys_power = canonical_system(group, seeds=seed_invariants(group, "power-sums"))
-    sys_reyn = canonical_system(group, seeds=seed_invariants(group, "reynolds"))
+    sys_power = canonical_system(group, seeds=seed_invariants(group))
+    sys_reyn = canonical_system(group, seeds=_reynolds_seeds(group))
     assert verify_canonical(sys_power, group).passed
     assert verify_canonical(sys_reyn, group).passed
     agreement = spans_agree(sys_power.polynomials(), sys_reyn.polynomials())
     assert all(agreement.values())
+
+
+def triangular_reseed(seeds, rng):
+    """h_k -> c*h_k plus every product of lower-degree seeds of the same degree."""
+    out = []
+    for h, d in zip(seeds.polynomials, seeds.degrees):
+        lower = [(p, e) for p, e in zip(out, seeds.degrees) if e < d]
+
+        def products(i, rest):
+            if rest == 0:
+                yield Polynomial.constant(1, h.num_vars, h.field)
+            for j in range(i, len(lower)):
+                p, e = lower[j]
+                if e <= rest:
+                    for tail in products(j, rest - e):
+                        yield p * tail
+
+        new = h.scale(rng.choice([-3, -2, 2, 5]))
+        for prod in products(0, d):
+            new = new + prod.scale(rng.randint(-4, 4))
+        out.append(new)
+    return out
+
+
+@pytest.mark.parametrize("type_label,rank,m", [
+    ("B", 3, None), ("A", 3, None), ("I2", 2, 5), ("H3", 3, None),
+])
+def test_triangular_reseeding_keeps_entries(type_label, rank, m):
+    group = get_group(type_label, rank, m)
+    seeds = seed_invariants(group)
+    reference = canonical_system(group, seeds=seeds).to_json()["entries"]
+    rng = random.Random(f"{type_label}{rank}{m}")
+    for _ in range(2):
+        reseeded = validate_user_seeds(triangular_reseed(seeds, rng), group)
+        assert reseeded.polynomials != seeds.polynomials
+        entries = canonical_system(group, seeds=reseeded).to_json()["entries"]
+        assert json.dumps(entries, sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+
+def test_verify_leaves_the_verified_flag_alone():
+    group = get_group("B", 2)
+    system = canonical_system(group)
+    assert verify_canonical(system, group).passed
+    assert system.verified is False
+    system.verified = True
+    bad = InvariantSystem.from_json(system.to_json())
+    bad.entries[0].norm = bad.entries[0].norm + 1
+    assert not verify_canonical(bad, group).passed
+    assert bad.verified is True
 
 
 @pytest.mark.parametrize("m", [5, 10])

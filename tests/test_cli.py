@@ -251,10 +251,16 @@ def test_seed_file_malformed_exit_2(tmp_path, capsys):
     path = tmp_path / "seeds.json"
     seed = {"vars": 2, "field": "Q", "terms": [{"exp": [2, 0], "coef": "1/0"}]}
     for payload, needle in [({"seeds": [seed]}, "'1/0'"),
-                            ({"seeds": [{"vars": 2, "field": "Q"}]}, "'terms'")]:
+                            ({"seeds": [{"vars": 2, "field": "Q"}]}, "'terms'"),
+                            ({"x": 1}, "list 'seeds'"),
+                            ([1], "list 'seeds'"),
+                            ({"seeds": 5}, "list 'seeds'")]:
         path.write_text(json.dumps(payload))
         _assert_one_line_error(*run_cli(capsys, "build", "--type", "B", "--rank", "2",
                                         "--seed", f"file:{path}"), needle)
+    for selector in ("reynolds", "power-sums"):
+        _assert_one_line_error(*run_cli(capsys, "build", "--type", "B", "--rank", "2",
+                                        "--seed", selector), f"{selector!r}")
 
 
 def test_verify_rejects_entry_outside_root_span(tmp_path, capsys):

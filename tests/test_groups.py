@@ -5,7 +5,6 @@ import pytest
 
 from canoninv import linalg
 from canoninv.groups import (
-    GroupOrderCapExceeded,
     ReflectionGroup,
     antiinvariant,
     build_root_system,
@@ -218,9 +217,10 @@ def test_float_dihedral_model():
     assert rs.field is FLOAT
     assert len(rs.positive_roots) == 7
     group = ReflectionGroup(rs)
-    assert len(group.enumerate()) == 14
-    dets = [d for _, d in group.enumerate()]
-    assert dets.count(1) == 7 and dets.count(-1) == 7
+    assert group.order == 14
+    # products of float matrices never close, so the float model is not enumerated
+    with pytest.raises(ValueError, match="I2\\(7\\)"):
+        group.enumerate()
 
 
 def test_field_selection_rules():
@@ -267,14 +267,6 @@ def test_h4_e6_need_opt_in():
     rs = build_root_system("E", 6, allow_large=True)
     assert len(rs.positive_roots) == 36
     assert rs.num_vars == 8 and rs.rank == 6
-
-
-def test_enumeration_cap(monkeypatch):
-    monkeypatch.setenv("CANON_MAX_GROUP_ORDER", "100")
-    rs = build_root_system("F4", 4)
-    group = ReflectionGroup(rs)
-    with pytest.raises(GroupOrderCapExceeded):
-        group.enumerate()
 
 
 def test_unsupported_types_rejected():

@@ -7,9 +7,9 @@ from canoninv.groups import ReflectionGroup, antiinvariant, build_root_system, g
 from canoninv.polys import Polynomial, coefficient_rows
 from canoninv.scalars import QQ
 from canoninv.seeds import (
-    _MAX_CANDIDATES_PER_SLOT,
     SeedSystem,
     _reynolds_candidates,
+    _reynolds_seeds,
     jacobian_certificate,
     seed_invariants,
     validate_user_seeds,
@@ -59,6 +59,11 @@ def symbolic_jacobian(system, group):
     rows = [[p.partial(j) for j in range(nv)] for p in system.polynomials]
     rows += [[Polynomial.constant(c, nv, field) for c in u] for u in rs.complement_basis]
     return _poly_det(rows)
+
+
+def seeds_by(group, path):
+    """``auto`` is the group's own seed system; ``reynolds`` is the greedy pass called directly."""
+    return _reynolds_seeds(group) if path == "reynolds" else seed_invariants(group)
 
 
 def is_nonzero_multiple(f, g):
@@ -131,7 +136,7 @@ def test_h3_reynolds_seed_degrees():
 ])
 def test_seeds_are_invariant_with_table_degrees(type_label, rank, m, strategy):
     group = get_group(type_label, rank, m)
-    seeds = seed_invariants(group, strategy)
+    seeds = seeds_by(group, strategy)
     assert seeds.degrees == list(group.root_system.degrees)
     for p in seeds.polynomials:
         for g in group.generators:
@@ -148,12 +153,6 @@ def test_witness_is_constant_multiple_of_antiinvariant(type_label, rank, m):
     assert jacobian_certificate(seeds, group) is True
     witness = symbolic_jacobian(seeds, group)
     assert is_nonzero_multiple(witness, antiinvariant(group.root_system))
-
-
-def test_power_sums_unavailable_for_h3():
-    group = get_group("H3")
-    with pytest.raises(ValueError):
-        seed_invariants(group, "power-sums")
 
 
 def test_user_seed_validation():
@@ -211,8 +210,6 @@ def depth_first_reynolds_seeds(group):
                 pool.append(next(generators[degree]))
             except StopIteration:
                 return None
-            if len(pool) > _MAX_CANDIDATES_PER_SLOT:
-                return None
         return pool[index]
 
     def extend(chosen, i):
@@ -244,7 +241,7 @@ def depth_first_reynolds_seeds(group):
 ])
 def test_greedy_reynolds_matches_depth_first_reference(type_label, rank, m, strategy):
     group = get_group(type_label, rank, m)
-    greedy = seed_invariants(group, strategy)
+    greedy = seeds_by(group, strategy)
     reference, calls = depth_first_reynolds_seeds(group)
     assert greedy.provenance == reference.provenance == "reynolds"
     assert (json.dumps([p.to_json() for p in greedy.polynomials])
@@ -256,9 +253,11 @@ def test_greedy_reynolds_matches_depth_first_reference(type_label, rank, m, stra
 @pytest.mark.parametrize("type_label,rank,m,strategy", [
     ("B", 3, None, "auto"), ("A", 3, None, "power-sums"), ("D", 4, None, "reynolds"),
     ("H3", 3, None, "auto"), ("I2", 2, 5, "reynolds"), ("I2", 2, 7, "auto"),
-    ("I2", 2, 12, "reynolds"),
 ])
 def test_every_strategy_is_certified_once(monkeypatch, type_label, rank, m, strategy):
+    """Each group's seeds are certified once; ``reynolds`` hides the closed form first."""
+    if strategy == "reynolds":
+        monkeypatch.setattr(seeds_module, "_power_sum_seeds", lambda group: None)
     calls = []
 
     def counting(system, group):
@@ -266,8 +265,10 @@ def test_every_strategy_is_certified_once(monkeypatch, type_label, rank, m, stra
         return jacobian_certificate(system, group)
 
     monkeypatch.setattr(seeds_module, "jacobian_certificate", counting)
-    system = seed_invariants(get_group(type_label, rank, m), strategy)
+    system = seed_invariants(get_group(type_label, rank, m))
     assert calls == [system]
+    reynolds = strategy == "reynolds" or type_label == "H3"
+    assert system.provenance == ("reynolds" if reynolds else "power-sum")
 
 
 @pytest.mark.parametrize("m", [7, 8, 9, 11, 12, 13, 17, 30, 60])
